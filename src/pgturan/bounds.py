@@ -248,12 +248,13 @@ def _optimize_segment(poly: BoundPolynomial) -> OptResult:
     lo = alphas[max(k - 1, 0)]
     hi = alphas[min(k + 1, len(alphas) - 1)]
     x, v = _golden_max(ev, lo, hi)
-    mp.dps = 50
-    vs = poly.evaluate_mp((x, 1 - mpf(t) * x))
+    with mp.workdps(50):
+        vs = poly.evaluate_mp((x, 1 - mpf(t) * x))
+        vs_str = mp.nstr(vs, 20)
     return OptResult(
         argmax={"alpha": x, "beta": 1 - t * x},
         value=float(vs),
-        value_str=mp.nstr(vs, 20),
+        value_str=vs_str,
         grid_best=(float(alphas[k]), grid_val),
         refined_best=(x, float(vs)),
         tolerance=1e-12,
@@ -287,13 +288,14 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
         a, b = a_new, b_new
         if moved < 1e-12:
             break
-    mp.dps = 50
-    gm = (1 - mpf(a) - mpf(b)) / (m_val - 1) if m_val > 1 else mpf(0)
-    vs = poly.evaluate_mp((a, b, gm))
+    with mp.workdps(50):
+        gm = (1 - mpf(a) - mpf(b)) / (m_val - 1) if m_val > 1 else mpf(0)
+        vs = poly.evaluate_mp((a, b, gm))
+        vs_str = mp.nstr(vs, 20)
     return OptResult(
         argmax={"alpha": a, "beta": b, "gamma": float(gm)},
         value=float(vs),
-        value_str=mp.nstr(vs, 20),
+        value_str=vs_str,
         grid_best=((a0, b0), grid_val),
         refined_best=((a, b), float(vs)),
         tolerance=1e-12,

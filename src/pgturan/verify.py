@@ -3,15 +3,16 @@
 Claims are small closures over the library, identified by structural ids
 ("table1.q3.cor1", "lemma8.mincover.K1", "M.q7", ...).  Search-backed claims
 respect a shared time budget and report "timeout" instead of failing when it
-runs out.  Output ordering and formatting are deterministic.
+runs out.  Results that several claims read (the comparison tables, the
+arc-partition optima, M(q)) are computed once per `build_claim_specs` call,
+by whichever claim reads them first.  Output ordering and formatting are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from .construction import (
 )
 from .geometry import build_geometry
 from .structures import (
-    classify_up_to_collineation,
     enumerate_complete_arcs,
     max_blocking_set_size,
     max_concurrency,
@@ -83,7 +83,7 @@ def _corrupted_copy(g):
     return bad
 
 
-def _classification_claims() -> list[ClaimSpec]:
+def _classification_claims(mq) -> list[ClaimSpec]:
     data = {
         3: ("lemma3", {4}, 4, 3, 2),
         4: ("lemma4", {6}, 6, 6, 2),
@@ -118,10 +118,9 @@ def _classification_claims() -> list[ClaimSpec]:
 
     for q, nclasses in ((7, 2), (8, 1)):
         def class_run(q=q, nclasses=nclasses):
-            g = build_geometry(2, q)
-            arcs = [a.mask for a in enumerate_complete_arcs(g) if a.size == 6]
-            cls = classify_up_to_collineation(g, arcs)
-            return str(len(cls)), len(cls) == nclasses
+            # collineations preserve arc size, so each class is all 6-arcs or none
+            got = sum(c.representative.size == 6 for c in mq(q).per_class)
+            return str(got), got == nclasses
         claims.append(ClaimSpec(f"classes.sixarcs.q{q}", f"complete 6-arcs q={q}",
                                 "reference", str(nclasses), True, class_run))
     return claims
@@ -140,11 +139,11 @@ def _blocking_claims() -> list[ClaimSpec]:
     return claims
 
 
-def _mq_claims() -> list[ClaimSpec]:
+def _mq_claims(mq) -> list[ClaimSpec]:
     claims = []
     for q, expect in refdata.MQ_VALUES.items():
         def run(q=q, expect=expect):
-            rep = compute_Mq(build_geometry(2, q))
+            rep = mq(q)
             certif = all(c.cover.optimal for c in rep.per_class)
             return str(rep.M_q), rep.M_q == expect and certif
         claims.append(ClaimSpec(f"M.q{q}", f"passant covers q={q}", "reference",
@@ -200,14 +199,13 @@ def _poly_claims() -> list[ClaimSpec]:
     return claims
 
 
-def _optima_claims() -> list[ClaimSpec]:
+def _optima_claims(optima) -> list[ClaimSpec]:
     claims = []
     for row in ("q3", "q4", "q5", "q7", "q8"):
         q = int(row[1:])
 
         def run(q=q):
-            rows = [r for r in bounds.reproduce_arc_optima() if r["q"] == q]
-            r = rows[0]
+            r = optima()[q]
             return f"{r['value']:.10f}", r["value_ok"] and r["argmax_ok"]
         claims.append(ClaimSpec(
             f"optima.{row}", f"optimized arc bound q={q}", "reference",
@@ -215,20 +213,12 @@ def _optima_claims() -> list[ClaimSpec]:
     return claims
 
 
-def _table_claims() -> list[ClaimSpec]:
+def _table_claims(tables) -> list[ClaimSpec]:
     claims = []
-    cache: dict[str, dict] = {}
-
-    def rows_for(name):
-        if not cache:
-            for tname, rows in bounds.reproduce_tables().items():
-                cache[tname] = {r.q: r for r in rows}
-        return cache[name]
-
     for name, table in (("table1", refdata.TABLE1_M2), ("table2", refdata.TABLE2_M3)):
         for q, printed in table.items():
             def run(name=name, q=q):
-                r = rows_for(name)[q]
+                r = tables()[name][q]
                 return (f"thm1={r.thm1:.10f} cor1={r.cor1:.10f} alpha={r.alpha:.10f}",
                         r.ok)
             claims.append(ClaimSpec(f"{name}.q{q}", f"{name} row q={q}", "reference",
@@ -236,7 +226,7 @@ def _table_claims() -> list[ClaimSpec]:
                                     False, run))
     for q in refdata.TABLE2_GENERAL_WINS:
         def run(q=q):
-            r = rows_for("table2")[q]
+            r = tables()["table2"][q]
             return r.larger, r.larger == "thm1"
         claims.append(ClaimSpec(f"table2.q{q}.larger", f"table2 row q={q}", "reference",
                                 "thm1", False, run))
@@ -297,25 +287,41 @@ def _freeness_claims() -> list[ClaimSpec]:
 
 
 def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
+    """The claim catalog, with one fresh memo of the results its claims share."""
+    @functools.cache
+    def tables():
+        return {name: {r.q: r for r in rows}
+                for name, rows in bounds.reproduce_tables().items()}
+
+    @functools.cache
+    def optima():
+        return {r["q"]: r for r in bounds.reproduce_arc_optima()}
+
+    @functools.cache
+    def mq(q):
+        return compute_Mq(build_geometry(2, q))
+
     claims = []
     claims += _geometry_claims(corrupt=corrupt_field)
     claims += _closed_form_claims()
     claims += _poly_claims()
-    claims += _optima_claims()
-    claims += _table_claims()
-    claims += _classification_claims()
+    claims += _optima_claims(optima)
+    claims += _table_claims(tables)
+    claims += _classification_claims(mq)
     claims += _blocking_claims()
-    claims += _mq_claims()
+    claims += _mq_claims(mq)
     claims += _appendix_claims()
     claims += _freeness_claims()
     return claims
 
 
 def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[Claim]:
-    """Execute every claim within the budget; search claims time out past it."""
+    """Execute every claim within the budget; search claims time out past it.
+
+    A shared result is charged to the `seconds` of the first claim that reads it.
+    """
     specs = build_claim_specs(corrupt_field=corrupt_field)
     start = time.monotonic()
-    threads = max(1, int(os.environ.get("PGTURAN_THREADS", "1")))
 
     def execute(spec: ClaimSpec) -> Claim:
         elapsed = time.monotonic() - start
@@ -332,12 +338,7 @@ def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[
                      spec.expected, str(computed), status,
                      time.perf_counter() - t0)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute, specs))
-    else:
-        results = [execute(s) for s in specs]
-    return sorted(results, key=lambda c: c.claim_id)
+    return sorted(map(execute, specs), key=lambda c: c.claim_id)
 
 
 def render_claims(claims: list[Claim], fmt: str = "json",

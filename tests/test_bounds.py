@@ -166,6 +166,23 @@ def test_constraint_satisfied_at_argmax():
         assert abs(a["alpha"] + a["beta"] + (M - 1) * a["gamma"] - 1) < 1e-12
 
 
+@pytest.mark.parametrize("poly", [theorem2_polynomial(3, 5), theorem3_polynomial(3, 2)],
+                         ids=["segment", "simplex"])
+def test_optimizer_leaves_global_precision_alone(poly):
+    with mp.workdps(20):
+        res = optimize_bound(poly)
+        assert mp.dps == 20
+    # value_str still carries 20 correct digits of the value at the argmax
+    kind, n = poly.constraint
+    a = Fraction(res.argmax["alpha"])
+    if kind == "segment":
+        point = (a, 1 - n * a)
+    else:
+        b = Fraction(res.argmax["beta"])
+        point = (a, b, (1 - a - b) / (n - 1))
+    assert abs(Fraction(res.value_str) - poly.evaluate(point)) < Fraction(1, 10 ** 19)
+
+
 # --- tables -----------------------------------------------------------------------
 
 def test_all_bounds_inside_unit_interval():

@@ -1,7 +1,9 @@
 """Command-line surface: formats, exit codes, determinism, negative control."""
 
 import json
+from collections import Counter
 
+from pgturan import bounds, refdata, verify
 from pgturan.cli import main
 
 
@@ -167,8 +169,23 @@ def test_claim_ids_unique_with_anchors(capsys):
     assert all(c["anchor"] for c in data["claims"])
 
 
-def test_thread_pool_env_keeps_output_deterministic(capsys, monkeypatch):
-    _, base = run(capsys, "verify", "all", "--budget", "0")
-    monkeypatch.setenv("PGTURAN_THREADS", "4")
-    _, pooled = run(capsys, "verify", "all", "--budget", "0")
-    assert pooled == base
+def test_verify_all_computes_shared_results_once(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name, key=lambda *args: ()):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name, key(*args)] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bounds, "reproduce_arc_optima")
+    counted(bounds, "reproduce_tables")
+    counted(verify, "compute_Mq", key=lambda g, *rest: g.q)
+    claims = verify.run_all(budget=None)
+    assert len(claims) == 75
+    assert [c.claim_id for c in claims if c.status != "pass"] == ["table2.q23"]
+    mq_keys = {("compute_Mq", q) for q in refdata.MQ_VALUES}
+    assert set(calls) == {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys
+    assert all(n == 1 for n in calls.values()), calls
