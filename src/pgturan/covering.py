@@ -2,8 +2,10 @@
 
 The central primitive is an exact minimum hitting set over line point sets,
 solved by deterministic branch and bound: branch on the candidate points of
-an uncovered line (fewest candidates first, points in ascending index order)
-and prune with depth + ceil(uncovered / best remaining frequency).
+an uncovered line (fewest candidates first, points in ascending index order),
+ban each tried point in its later siblings, and prune with depth + k, where k
+is the fewest unbanned points whose uncovered-line counts can add up to the
+uncovered count.
 """
 
 from __future__ import annotations
@@ -70,9 +72,17 @@ class PassantAnalysis:
 def min_hitting_set(universe: int, family, budget: float | None = None) -> HittingSetResult:
     """Exact minimum set of universe points meeting every line of the family.
 
-    `family` is a sequence of point bitmasks.  Deterministic: lines are
-    branched smallest-candidate-set first and candidate points in ascending
-    index order.  Raises when some line misses the universe entirely.
+    `family` is a sequence of point bitmasks.  Depth-first branch and bound
+    from a greedy incumbent.  Each node branches on the uncovered line with
+    the fewest points (lowest index on ties), trying its points in ascending
+    index order; once the branch that picks p returns, p is banned in the
+    later sibling branches, and a node dies as soon as some uncovered line
+    has no unbanned point left.  The bound is top-k coverage: sort the
+    unbanned points by how many uncovered lines each meets and prune when the
+    best `best_size - depth - 1` of them cannot meet them all.  The witness
+    is the greedy cover when that is optimal, and otherwise the first optimal
+    cover in the unpruned branching order, so pruning never changes it.
+    Raises when some line misses the universe entirely.
     """
     fam = [lm & universe for lm in family]
     for i, lm in enumerate(fam):
@@ -82,6 +92,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         return HittingSetResult(0, 0, True, 1)
     deadline = time.monotonic() + budget if budget is not None else None
     n_fam = len(fam)
+    fam_size = [lm.bit_count() for lm in fam]
 
     # point -> bitmask over family indices it covers
     cover_of: dict[int, int] = {}
@@ -89,6 +100,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         for p in bits(lm):
             cover_of[p] = cover_of.get(p, 0) | (1 << i)
     candidate_points = sorted(cover_of)
+    point_covers = [(1 << p, cover_of[p]) for p in candidate_points]
 
     all_lines = (1 << n_fam) - 1
     nodes = 0
@@ -108,7 +120,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     best_size = len(greedy)
     best_set = mask_of(greedy)
 
-    def search(chosen: int, covered: int, depth: int):
+    def search(chosen: int, covered: int, banned: int, depth: int):
         nonlocal best_size, best_set, nodes, timed_out
         nodes += 1
         if timed_out or (deadline is not None and nodes % 4096 == 0
@@ -119,28 +131,28 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
             if depth < best_size:
                 best_size, best_set = depth, chosen
             return
-        # frequency bound over points still useful
-        fmax = 0
-        for p in candidate_points:
-            c = (cover_of[p] & ~covered).bit_count()
-            if c > fmax:
-                fmax = c
-        uncovered_count = (all_lines & ~covered).bit_count()
-        if depth + -(-uncovered_count // fmax) >= best_size:
-            return
-        # branch on the uncovered line with fewest candidate points
-        pick, pick_sz = None, None
+        # branch on the uncovered line with fewest candidate points; a line
+        # whose points are all banned can no longer be met
         rem = all_lines & ~covered
+        pick, pick_sz = None, None
         for i in bits(rem):
-            sz = fam[i].bit_count()
-            if pick_sz is None or sz < pick_sz:
-                pick, pick_sz = i, sz
-        for p in bits(fam[pick]):
-            search(chosen | (1 << p), covered | cover_of[p], depth + 1)
+            if not fam[i] & ~banned:
+                return
+            if pick_sz is None or fam_size[i] < pick_sz:
+                pick, pick_sz = i, fam_size[i]
+        # top-k bound: the best_size - depth - 1 unbanned points that meet the
+        # most uncovered lines must together meet them all
+        counts = sorted([(c & rem).bit_count() for pb, c in point_covers
+                         if not banned & pb], reverse=True)
+        if sum(counts[:max(best_size - depth - 1, 0)]) < rem.bit_count():
+            return
+        for p in bits(fam[pick] & ~banned):
+            search(chosen | (1 << p), covered | cover_of[p], banned, depth + 1)
             if timed_out:
                 return
+            banned |= 1 << p  # later branches must meet the line elsewhere
 
-    search(0, 0, 0)
+    search(0, 0, 0, 0)
     return HittingSetResult(best_size, best_set, not timed_out, nodes)
 
 

@@ -344,18 +344,19 @@ def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
     if len(ids_a) < 4:
         raise StructureError("classification needs arcs of size >= 4")
     f = g.field
-    set_b = mask_b
     for aut in range(f.k):
         m_aut = apply_field_automorphism(g, aut, mask_a)
         anchor_aut = tuple(bits(m_aut))[:4]
         back = collineation_to_frame(g, _general_position_quad(g, anchor_aut))
-        rest = apply_projectivity(g, back, m_aut)
+        rest = [g.points[p].coords for p in bits(apply_projectivity(g, back, m_aut))]
         for quad in itertools.permutations(ids_b, 4):
             try:
                 fwd = projectivity_from_frame(g, quad)
             except StructureError:
                 continue
-            if apply_projectivity(g, fwd, rest) == set_b:
+            # a projectivity is injective and the sizes match, so the image
+            # equals mask_b once every point lands in it; stop at the first miss
+            if all(mask_b >> g.point_id(_matvec(f, fwd, v)) & 1 for v in rest):
                 return True
     return False
 

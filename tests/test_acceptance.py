@@ -210,8 +210,8 @@ def test_criterion_8_closed_forms():
     }
     # the stated high-precision oracle for the last value
     from mpmath import mp, mpf, sqrt, ceil
-    mp.dps = 50
-    checks["t(3,23) oracle"] = int(ceil((1 + mpf(23)) * (23 + sqrt(mpf(23))))) == 668
+    with mp.workdps(50):
+        checks["t(3,23) oracle"] = int(ceil((1 + mpf(23)) * (23 + sqrt(mpf(23))))) == 668
     ok = all(checks.values())
     report("8", ok, ", ".join(k for k, v in checks.items() if v))
     assert ok, checks

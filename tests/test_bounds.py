@@ -61,10 +61,10 @@ def test_part_count_formula():
 
 
 def test_part_count_against_high_precision_oracle():
-    mp.dps = 50
     for m, q in ((3, 17), (3, 23), (3, 29), (4, 9)):
-        s = sum(mpf(q) ** i for i in range(m - 1))
-        oracle = int(mpceil(s * (q + mpsqrt(q))))
+        with mp.workdps(50):
+            s = sum(mpf(q) ** i for i in range(m - 1))
+            oracle = int(mpceil(s * (q + mpsqrt(q))))
         assert corollary1_t(m, q) == oracle
 
 
@@ -97,17 +97,17 @@ def test_blocking_polynomial_expansion_agrees_with_factored_form():
     # evaluated at the module's working precision (50 digits), the expanded
     # and factored forms agree to 1e-14 relative at 100 random points; at
     # exact rational points they agree identically
-    mp.dps = 50
     rng = random.Random(7)
     for q, t in ((3, 5), (8, 11)):
         poly = theorem2_polynomial(q, t)
         coeffs = poly.univariate()
         for i in range(100):
-            a = mpf(rng.uniform(0, 1 / t))
-            expanded = sum((mpf(c.numerator) / c.denominator) * a ** d
-                           for d, c in enumerate(coeffs))
-            factored = poly.evaluate_mp((a, 1 - t * a))
-            assert abs(expanded - factored) <= mpf("1e-14") * max(1, abs(factored))
+            with mp.workdps(50):
+                a = mpf(rng.uniform(0, 1 / t))
+                expanded = sum((mpf(c.numerator) / c.denominator) * a ** d
+                               for d, c in enumerate(coeffs))
+                factored = poly.evaluate_mp((a, 1 - t * a))
+                assert abs(expanded - factored) <= mpf("1e-14") * max(1, abs(factored))
             if i < 10:
                 ar = Fraction(rng.randint(0, 10 ** 9), 10 ** 9 * t)
                 exact_exp = sum(c * ar ** d for d, c in enumerate(coeffs))

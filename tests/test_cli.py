@@ -140,6 +140,9 @@ def test_verify_zero_budget_times_out_searches(capsys):
     assert data["timeouts"] > 0
     by_id = {c["claim"]: c for c in data["claims"]}
     assert by_id["M.q7"]["status"] == "timeout"
+    # optimizer-backed claims are bounded by the budget too
+    assert by_id["optima.q3"]["status"] == "timeout"
+    assert by_id["table2.q23"]["status"] == "timeout"
     assert by_id["closedform.t.m2q3"]["status"] == "pass"
     assert by_id["poly.q7.coeffs"]["status"] == "pass"
 

@@ -36,6 +36,38 @@ def brute_minimum(universe, family):
     return None
 
 
+def reference_witness(family, size):
+    """The cover min_hitting_set must return when `size` is the minimum.
+
+    The greedy incumbent when it is that small (the search only replaces it by
+    strictly smaller covers), else the first cover of that size in the
+    unpruned depth-first order: the uncovered line with fewest points (lowest
+    index on ties), its points ascending.
+    """
+    points = sorted(set().union(*(bits(lm) for lm in family)))
+    greedy = 0
+    while not all(greedy & lm for lm in family):
+        gain = [sum(1 for lm in family if lm >> p & 1 and not lm & greedy) for p in points]
+        greedy |= 1 << points[gain.index(max(gain))]
+    if greedy.bit_count() == size:
+        return greedy
+
+    def first(chosen, depth):
+        rem = [i for i, lm in enumerate(family) if not lm & chosen]
+        if not rem:
+            return chosen
+        if depth == size:
+            return None
+        line = family[min(rem, key=lambda i: (family[i].bit_count(), i))]
+        for p in bits(line):
+            got = first(chosen | 1 << p, depth + 1)
+            if got is not None:
+                return got
+        return None
+
+    return first(0, 0)
+
+
 def test_empty_family_is_free():
     res = min_hitting_set((1 << 5) - 1, [])
     assert (res.minimum_size, res.witness, res.optimal) == (0, 0, True)
@@ -49,9 +81,9 @@ def test_disjoint_line_rejected():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_brute_force(data):
-    n = data.draw(st.integers(3, 9))
+    n = data.draw(st.integers(3, 12))
     universe = (1 << n) - 1
-    n_lines = data.draw(st.integers(1, 6))
+    n_lines = data.draw(st.integers(1, 10))
     family = []
     for _ in range(n_lines):
         size = data.draw(st.integers(1, n))
@@ -60,7 +92,11 @@ def test_solver_matches_brute_force(data):
     res = min_hitting_set(universe, family)
     assert res.optimal
     assert res.minimum_size == brute_minimum(universe, family)
+    assert res.witness.bit_count() == res.minimum_size
     assert all(res.witness & lm for lm in family)
+    assert not exhaustive_cover_exists(universe, family, res.minimum_size - 1)
+    # pruning never changes which optimal cover is returned
+    assert res.witness == reference_witness(family, res.minimum_size)
 
 
 @pytest.mark.parametrize("q,expect", [(3, 2), (4, 3), (5, 4), (7, 6), (8, 7)])
@@ -76,6 +112,35 @@ def test_m_of_arc_values(q, expect):
     fam = [g.line_point_incidence[l] for l in rep.witness_arc.passant_ids]
     universe = g.all_points_mask & ~rep.witness_arc.mask
     assert not exhaustive_cover_exists(universe, fam, expect - 1)
+
+
+# The covers `pgturan mq` prints: per class, the representative's points, m(K)
+# and the witness cover, as the branch and bound returns them.
+PRINTED_COVERS = {
+    7: [((0, 8, 18, 23, 49, 56), 6, (1, 2, 3, 4, 5, 6)),
+        ((0, 8, 17, 25, 49, 56), 6, (1, 2, 3, 4, 5, 6)),
+        ((0, 8, 20, 26, 31, 39, 49, 56), 6, (1, 2, 3, 4, 5, 6))],
+    8: [((0, 9, 19, 26, 64, 72), 7, (1, 8, 18, 27, 65, 69, 71)),
+        ((0, 9, 20, 29, 39, 46, 51, 58, 64, 72), 7, (1, 2, 3, 4, 5, 6, 7))],
+}
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_mq_witness_covers_pinned(q):
+    rep = compute_Mq(build_geometry(2, q))
+    got = [(c.representative.points, c.cover.minimum_size, c.cover.witness_ids())
+           for c in rep.per_class]
+    assert got == PRINTED_COVERS[q]
+
+
+def test_frame_anchored_q9_arcs_need_eight_points():
+    g = build_geometry(2, 9)
+    arcs = enumerate_complete_arcs(g, force=True)
+    results = [m_of_arc(g, a) for a in arcs]
+    assert len(results) == 263
+    assert all(r.optimal and r.minimum_size == 8 for r in results)
+    # sibling exclusion and the top-k bound keep the tree small
+    assert sum(r.explored_nodes for r in results) <= 50_000
 
 
 def test_mq_report_bounds():
