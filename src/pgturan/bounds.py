@@ -2,18 +2,19 @@
 
 Polynomial coefficients are exact rationals; optimization runs a dense
 deterministic grid (numpy, float64) to locate the global region and then
-refines with golden-section steps, finishing in 50-digit arithmetic so the
-reported values carry well past the 10 digits the comparisons need.
+refines with golden-section steps.  The reported value is the exact rational
+value of the polynomial at the float argmax, so it carries well past the 10
+digits the comparisons need.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .refdata import TABLE1_M2, TABLE2_M3, ARC_BOUND_OPTIMA
 
@@ -44,16 +45,6 @@ class BoundPolynomial:
         for expo, coeff in self.monomials.items():
             term = coeff
             for x, e in zip(fr, expo):
-                term *= x ** e
-            total += term
-        return total
-
-    def evaluate_mp(self, point) -> mpf:
-        total = mpf(0)
-        pt = [mpf(x) for x in point]
-        for expo, coeff in self.monomials.items():
-            term = mpf(coeff.numerator) / coeff.denominator
-            for x, e in zip(pt, expo):
                 term *= x ** e
             total += term
         return total
@@ -100,10 +91,16 @@ class BoundPolynomial:
 class OptResult:
     argmax: dict[str, float]
     value: float
-    value_str: str           # 50-digit evaluation at the argmax
+    value_str: str           # exact value at the argmax, 20 significant digits
     grid_best: tuple
-    refined_best: tuple
-    tolerance: float
+
+
+def value_string(x: Fraction) -> str:
+    """`x` rounded half up to 20 significant digits, trailing zeros stripped,
+    in fixed notation."""
+    ctx = Context(prec=20, rounding=ROUND_HALF_UP)
+    d = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return format(d.normalize(ctx), "f")
 
 
 def _sum_q_powers(m: int, q: int) -> int:
@@ -212,6 +209,14 @@ def theorem3_polynomial(q: int, M: int) -> BoundPolynomial:
     )
 
 
+def _result(poly: BoundPolynomial, point, argmax: dict[str, float],
+            grid_best: tuple) -> OptResult:
+    """Report the exact value of `poly` at the rational `point`."""
+    value = poly.evaluate(point)
+    return OptResult(argmax=argmax, value=float(value),
+                     value_str=value_string(value), grid_best=grid_best)
+
+
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-13):
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -247,18 +252,10 @@ def _optimize_segment(poly: BoundPolynomial) -> OptResult:
     ev = poly.factored_evaluator()
     lo = alphas[max(k - 1, 0)]
     hi = alphas[min(k + 1, len(alphas) - 1)]
-    x, v = _golden_max(ev, lo, hi)
-    with mp.workdps(50):
-        vs = poly.evaluate_mp((x, 1 - mpf(t) * x))
-        vs_str = mp.nstr(vs, 20)
-    return OptResult(
-        argmax={"alpha": x, "beta": 1 - t * x},
-        value=float(vs),
-        value_str=vs_str,
-        grid_best=(float(alphas[k]), grid_val),
-        refined_best=(x, float(vs)),
-        tolerance=1e-12,
-    )
+    x, _ = _golden_max(ev, lo, hi)
+    return _result(poly, (Fraction(x), 1 - t * Fraction(x)),
+                   {"alpha": x, "beta": 1 - t * x},
+                   (float(alphas[k]), grid_val))
 
 
 def _grid_simplex(poly: BoundPolynomial, step: float = 1 / 2000):
@@ -288,18 +285,10 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
         a, b = a_new, b_new
         if moved < 1e-12:
             break
-    with mp.workdps(50):
-        gm = (1 - mpf(a) - mpf(b)) / (m_val - 1) if m_val > 1 else mpf(0)
-        vs = poly.evaluate_mp((a, b, gm))
-        vs_str = mp.nstr(vs, 20)
-    return OptResult(
-        argmax={"alpha": a, "beta": b, "gamma": float(gm)},
-        value=float(vs),
-        value_str=vs_str,
-        grid_best=((a0, b0), grid_val),
-        refined_best=((a, b), float(vs)),
-        tolerance=1e-12,
-    )
+    gm = (1 - Fraction(a) - Fraction(b)) / (m_val - 1) if m_val > 1 else Fraction(0)
+    return _result(poly, (a, b, gm),
+                   {"alpha": a, "beta": b, "gamma": float(gm)},
+                   ((a0, b0), grid_val))
 
 
 def optimize_bound(poly: BoundPolynomial) -> OptResult:

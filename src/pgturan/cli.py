@@ -248,19 +248,16 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arcs", help="enumerate frame-anchored complete arcs")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--classify", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=_cmd_arcs)
 
     p = sub.add_parser("blocking", help="maximum blocking set search")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max", action="store_true", default=True)
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(fn=_cmd_blocking)
 
     p = sub.add_parser("mq", help="minimum passant covers and M(q)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=_cmd_mq)
 
     p = sub.add_parser("freeness", help="build a partition hypergraph and search it")
@@ -272,7 +269,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--rates", type=str, required=True)
     p.add_argument("--budget", type=float, default=600.0)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=_cmd_freeness)
 
     p = sub.add_parser("bounds", help="closed-form and optimized density bounds")

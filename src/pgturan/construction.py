@@ -262,12 +262,6 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
     nodes = 0
     out_status = "no"
 
-    def line_counts(ln):
-        counts = [0] * n_parts
-        for p in ln:
-            counts[color[p]] += 1
-        return counts
-
     def feasible_partial(p_new) -> bool:
         # monotone caps can be checked on any line through the new point
         for ln in pattern_lines:

@@ -267,11 +267,6 @@ def _matvec(f, mat, vec):
     return tuple(f.dot(row, vec) for row in mat)
 
 
-def _matmul(f, a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(f.dot(row, col) for col in cols) for row in a)
-
-
 def _mat_inverse(f, mat):
     (a, b, c), (d, e, g_), (h, i, j) = mat
     def m2(x, y, z, w):  # det of 2x2

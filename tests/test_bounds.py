@@ -1,7 +1,10 @@
 """Closed forms, exact polynomial identities, and the optimizer's reproductions."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from pgturan.bounds import (
     theorem1_upper,
     theorem2_polynomial,
     theorem3_polynomial,
+    value_string,
 )
 
 
@@ -94,20 +98,16 @@ def test_blocking_polynomial_shape(q, t):
 
 
 def test_blocking_polynomial_expansion_agrees_with_factored_form():
-    # evaluated at the module's working precision (50 digits), the expanded
-    # and factored forms agree to 1e-14 relative at 100 random points; at
-    # exact rational points they agree identically
+    # the expanded and factored forms agree identically at 100 random floats
+    # and at 10 random rationals of the feasible segment
     rng = random.Random(7)
     for q, t in ((3, 5), (8, 11)):
         poly = theorem2_polynomial(q, t)
         coeffs = poly.univariate()
         for i in range(100):
-            with mp.workdps(50):
-                a = mpf(rng.uniform(0, 1 / t))
-                expanded = sum((mpf(c.numerator) / c.denominator) * a ** d
-                               for d, c in enumerate(coeffs))
-                factored = poly.evaluate_mp((a, 1 - t * a))
-                assert abs(expanded - factored) <= mpf("1e-14") * max(1, abs(factored))
+            a = Fraction(rng.uniform(0, 1 / t))
+            expanded = sum(c * a ** d for d, c in enumerate(coeffs))
+            assert expanded == poly.evaluate((a, 1 - t * a))
             if i < 10:
                 ar = Fraction(rng.randint(0, 10 ** 9), 10 ** 9 * t)
                 exact_exp = sum(c * ar ** d for d, c in enumerate(coeffs))
@@ -181,6 +181,68 @@ def test_optimizer_leaves_global_precision_alone(poly):
         b = Fraction(res.argmax["beta"])
         point = (a, b, (1 - a - b) / (n - 1))
     assert abs(Fraction(res.value_str) - poly.evaluate(point)) < Fraction(1, 10 ** 19)
+
+
+def _mp_value_string(poly, point) -> str:
+    """Independent oracle: 50-digit mpmath evaluation, printed by mp.nstr."""
+    with mp.workdps(50):
+        pt = [mpf(x.numerator) / x.denominator for x in point]
+        total = mpf(0)
+        for expo, coeff in poly.monomials.items():
+            term = mpf(coeff.numerator) / coeff.denominator
+            for x, e in zip(pt, expo):
+                term *= x ** e
+            total += term
+        return mp.nstr(total, 20)
+
+
+def test_value_string_matches_mpmath_at_random_points():
+    # mp.nstr switches to exponent notation below 1e-5; every reported optimum
+    # lies in (1e-5, 1), so points valued below that are redrawn
+    rng = random.Random(11)
+    polys = [theorem2_polynomial(3, 5), theorem2_polynomial(8, 11),
+             theorem2_polynomial(5, 44), theorem3_polynomial(3, 2),
+             theorem3_polynomial(5, 4), theorem3_polynomial(7, 6),
+             theorem3_polynomial(8, 7), theorem3_polynomial(9, 8)]
+    for poly in polys:
+        kind, n = poly.constraint
+        checked = 0
+        while checked < 25:
+            a = Fraction(rng.uniform(0, 1 / n if kind == "segment" else 1))
+            if kind == "segment":
+                point = (a, 1 - n * a)
+            else:
+                b = Fraction(rng.uniform(0, float(1 - a)))
+                point = (a, b, (1 - a - b) / (n - 1))
+            value = poly.evaluate(point)
+            if value <= Fraction(1, 10 ** 5):
+                continue
+            assert value_string(value) == _mp_value_string(poly, point), point
+            checked += 1
+
+
+def test_value_string_rounding():
+    assert value_string(Fraction(123456789012345678905, 10 ** 21)) == "0.12345678901234567891"
+    assert value_string(Fraction(123456789012345678904, 10 ** 21)) == "0.1234567890123456789"
+    assert value_string(Fraction(1, 4)) == "0.25"
+    assert value_string(Fraction(3, 10 ** 5)) == "0.00003"
+    # the optima `pgturan bounds` prints
+    assert optimize_bound(theorem2_polynomial(5, 44)).value_str == "0.90068865791800638227"
+    assert optimize_bound(theorem3_polynomial(8, 7)).value_str == "0.76541608227166658325"
+
+
+def test_optimizer_runs_without_mpmath():
+    code = ("import sys, pgturan, pgturan.cli\n"
+            "from pgturan.bounds import optimize_bound, theorem2_polynomial, theorem3_polynomial\n"
+            "optimize_bound(theorem2_polynomial(3, 5))\n"
+            "optimize_bound(theorem3_polynomial(3, 2))\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- tables -----------------------------------------------------------------------

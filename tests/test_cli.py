@@ -51,11 +51,11 @@ def test_arcs_classify(capsys):
 
 
 def test_blocking_max(capsys):
-    code, out = run(capsys, "blocking", "--m", "2", "--q", "3", "--max")
+    code, out = run(capsys, "blocking", "--m", "2", "--q", "3")
     assert code == 0
     data = json.loads(out)
     assert data["maximum"] == 7 and data["exact"]
-    code, out = run(capsys, "blocking", "--m", "2", "--q", "2", "--max")
+    code, out = run(capsys, "blocking", "--m", "2", "--q", "2")
     data = json.loads(out)
     assert data["maximum"] is None and data["note"] == "no blocking set exists"
 
