@@ -1,20 +1,25 @@
 """Closed-form density bounds and the partition lower-bound polynomials.
 
-Polynomial coefficients are exact rationals; optimization runs a dense
-deterministic grid (numpy, float64) to locate the global region and then
-refines with golden-section steps.  The reported value is the exact rational
-value of the polynomial at the float argmax, so it carries well past the 10
-digits the comparisons need.
+Polynomial coefficients are exact rationals, and so is all arithmetic that
+decides where the optimizer starts.  The optimizer first finds, exactly, the
+first maximum of the polynomial over a fixed grid of floats.  On a segment it
+binary-searches the samples, which is sound because the polynomial's
+Bernstein coefficients rise and then fall, so it is unimodal there.  On a
+simplex it runs a best-first Bernstein branch and bound over boxes of grid
+indices.  Golden-section steps then refine the grid point in floats.  The
+reported value is the exact rational value of the polynomial at the refined
+point, so it carries well past the 10 digits the comparisons need.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from .refdata import TABLE1_M2, TABLE2_M3, ARC_BOUND_OPTIMA
 
@@ -235,46 +240,211 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-13):
     return x, f(x)
 
 
-def _grid_segment(poly: BoundPolynomial, samples: int = 100_001):
+SEGMENT_SAMPLES = 100_001   # evenly spaced alphas from 0 to 1/t, both ends included
+SIMPLEX_STEPS = 2000        # alpha and beta run over i * (1/2000), i = 0..2000
+_ROOT_WIDTH = 2048          # power-of-two index box around the simplex ticks
+
+
+def _segment_tick(t: int, k: int) -> float:
+    """The k-th segment sample, as the float `linspace(0, 1/t, SEGMENT_SAMPLES)` gives."""
+    if k == SEGMENT_SAMPLES - 1:
+        return 1.0 / t
+    return k * ((1.0 / t) / (SEGMENT_SAMPLES - 1))
+
+
+def _simplex_tick(i: int) -> float:
+    """The i-th simplex tick, as the float `arange(0, 1 + s/2, s)` gives, s = 1/2000."""
+    return i * (1 / SIMPLEX_STEPS)
+
+
+def _bernstein(coeffs: list[Fraction]) -> list[Fraction]:
+    """Bernstein coefficients on [0, 1] of sum_d coeffs[d] x^d, of degree len - 1."""
+    n = len(coeffs) - 1
+    return [sum(Fraction(math.comb(r, d), math.comb(n, d)) * coeffs[d]
+                for d in range(r + 1)) for r in range(n + 1)]
+
+
+def _rises_then_falls(seq) -> bool:
+    k = 0
+    while k + 1 < len(seq) and seq[k] <= seq[k + 1]:
+        k += 1
+    return all(x >= y for x, y in zip(seq[k:], seq[k + 1:]))
+
+
+def _halve(seq):
+    """Bernstein coefficients of both halves of an interval (de Casteljau at 1/2).
+
+    Integer coefficients stay exact while each is divisible by 2^(len(seq) - 1).
+    """
+    left, right = [seq[0]], [seq[-1]]
+    while len(seq) > 1:
+        seq = [(x + y) >> 1 for x, y in zip(seq, seq[1:])]
+        left.append(seq[0])
+        right.append(seq[-1])
+    return left, right[::-1]
+
+
+def _halve_beta(rows):
+    halves = [_halve(r) for r in rows]
+    return [h[0] for h in halves], [h[1] for h in halves]
+
+
+def _halve_alpha(rows):
+    lo, hi = _halve_beta(list(zip(*rows)))
+    return list(zip(*lo)), list(zip(*hi))
+
+
+class _DyadicPoly:
+    """Exact values of sum c_kl x^k y^l at floats that are multiples of 2^-e.
+
+    `at(x, y)` returns the value times `scale`, an integer, so values compare
+    as ints.
+    """
+
+    def __init__(self, coeffs: dict[tuple[int, int], Fraction], e: int):
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        n = max(k + l for k, l in coeffs)
+        self.e = e
+        self.scale = den << (e * n)
+        # rows[k][l] = den * c_kl * 2^(e(n-k-l)), so that
+        # scale * value = sum_k X^k sum_l rows[k][l] Y^l with X = x 2^e, Y = y 2^e
+        self.rows = [[int(coeffs.get((k, l), 0) * den) << (e * (n - k - l))
+                      for l in range(n - k + 1)] for k in range(n + 1)]
+
+    def at(self, x: float, y: float) -> int:
+        big_x, big_y = int(math.ldexp(x, self.e)), int(math.ldexp(y, self.e))
+        total = 0
+        for row in reversed(self.rows):
+            acc = 0
+            for c in reversed(row):
+                acc = acc * big_y + c
+            total = total * big_x + acc
+        return total
+
+
+def _dyadic_exponent(x: float) -> int:
+    """e such that every float >= x > 0 is an integer multiple of 2^-e."""
+    return 53 - math.frexp(x)[1]
+
+
+def _segment_start(poly: BoundPolynomial) -> tuple[int, Fraction]:
+    """First index of the largest exact value over the segment samples, and that value.
+
+    In s = t*alpha the samples before the last lie in [0, 1).  If the Bernstein
+    coefficients of the polynomial on s in [0, 1] rise and then fall, every
+    horizontal line crosses it at most twice there (variation diminishing),
+    so the samples rise strictly, then fall strictly, with at most one tie at
+    the top: a binary search for the first k with value(k) >= value(k+1)
+    finds the first maximum.  The last sample, 1.0/t, may round past 1/t and
+    is compared on its own.
+    """
     t = poly.constraint[1]
-    alphas = np.linspace(0.0, 1.0 / t, samples)
-    betas = 1.0 - t * alphas
-    vals = np.zeros_like(alphas)
-    for (i, j), c in poly.monomials.items():
-        vals += float(c) * alphas ** i * betas ** j
-    k = int(np.argmax(vals))
-    return alphas, k, float(vals[k])
+    coeffs = poly.univariate()
+    if not _rises_then_falls(_bernstein([c / t ** d for d, c in enumerate(coeffs)])):
+        raise BoundsError("segment polynomial is not certified unimodal")
+    ev = _DyadicPoly({(d, 0): c for d, c in enumerate(coeffs) if c},
+                     _dyadic_exponent(_segment_tick(t, 1)))
+
+    @functools.cache
+    def value(k: int) -> int:
+        return ev.at(_segment_tick(t, k), 0.0)
+
+    lo, hi = 0, SEGMENT_SAMPLES - 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid) >= value(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    if value(SEGMENT_SAMPLES - 1) > value(lo):
+        lo = SEGMENT_SAMPLES - 1
+    return lo, Fraction(value(lo), ev.scale)
+
+
+def _simplex_in_alpha_beta(poly: BoundPolynomial) -> dict[tuple[int, int], Fraction]:
+    """Expansion in (alpha, beta) after gamma = (1 - alpha - beta)/(M - 1)."""
+    m_val = poly.constraint[1]
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j, k), c in poly.monomials.items():
+        c = c / (m_val - 1) ** k
+        for a in range(k + 1):
+            for b in range(k - a + 1):
+                term = c * math.comb(k, a) * math.comb(k - a, b) * (-1) ** (a + b)
+                out[i + a, j + b] = out.get((i + a, j + b), 0) + term
+    return {e: c for e, c in out.items() if c}
+
+
+def _simplex_start(poly: BoundPolynomial) -> tuple[int, int, Fraction]:
+    """First (row-major) tick pair (i, j), i + j <= 2000, of the largest exact value.
+
+    Best-first branch and bound over index boxes [i0, i0+w] x [j0, j0+w] in
+    u = alpha/s, v = beta/s with s the float 1/2000, starting from w = 2048.
+    A box's bound is the largest tensor Bernstein coefficient of the
+    polynomial on it; halving a box is a de Casteljau step in each variable.
+    A float tick i*s is within i*2^-53 of u = i, so a box that contains it
+    also holds index i.  The search stops at the first box whose bound lies
+    below the best tick value found, and evaluates every tick of boxes of
+    width 2.
+    """
+    coeffs = _simplex_in_alpha_beta(poly)
+    deg_a = max(k for k, _ in coeffs)
+    deg_b = max(l for _, l in coeffs)
+    ev = _DyadicPoly(coeffs, _dyadic_exponent(_simplex_tick(1)))
+    # power coefficients in x = u/2048, y = v/2048 on the unit square
+    c = Fraction(_ROOT_WIDTH * _simplex_tick(1))
+    power = [[coeffs.get((k, l), 0) * c ** (k + l) for l in range(deg_b + 1)]
+             for k in range(deg_a + 1)]
+    bern = [_bernstein(list(col)) for col in zip(*power)]
+    bern = [_bernstein(list(row)) for row in zip(*bern)]
+    # one integer scale for bounds and tick values; the factor 2^(10(deg_a+deg_b))
+    # keeps ten halvings in each variable (2048 -> 2) exact
+    depth = (_ROOT_WIDTH // 2).bit_length() - 1
+    scale = math.lcm(math.lcm(*(b.denominator for row in bern for b in row))
+                     << (depth * (deg_a + deg_b)), ev.scale)
+    root = [[int(b * scale) for b in row] for row in bern]
+    to_scale = scale // ev.scale
+
+    best = None   # (value, -i, -j): max() then prefers the first pair in row-major order
+    heap = [(-max(map(max, root)), 0, 0, 0, _ROOT_WIDTH, root)]
+    pushed = 1
+    while heap:
+        neg_bound, _, i0, j0, w, box = heapq.heappop(heap)
+        if best is not None and -neg_bound < best[0]:
+            break
+        if w == 2:
+            for i in range(i0, min(i0 + w, SIMPLEX_STEPS - j0) + 1):
+                for j in range(j0, min(j0 + w, SIMPLEX_STEPS - i) + 1):
+                    cand = (ev.at(_simplex_tick(i), _simplex_tick(j)) * to_scale, -i, -j)
+                    if best is None or cand > best:
+                        best = cand
+            continue
+        h = w // 2
+        for di, half in zip((0, h), _halve_alpha(box)):
+            for dj, quarter in zip((0, h), _halve_beta(half)):
+                if i0 + di + j0 + dj <= SIMPLEX_STEPS:
+                    heapq.heappush(heap, (-max(map(max, quarter)), pushed,
+                                          i0 + di, j0 + dj, h, quarter))
+                    pushed += 1
+    value, i, j = best
+    return -i, -j, Fraction(value, scale)
 
 
 def _optimize_segment(poly: BoundPolynomial) -> OptResult:
     t = poly.constraint[1]
-    alphas, k, grid_val = _grid_segment(poly)
+    k, grid_val = _segment_start(poly)
     ev = poly.factored_evaluator()
-    lo = alphas[max(k - 1, 0)]
-    hi = alphas[min(k + 1, len(alphas) - 1)]
+    lo = _segment_tick(t, max(k - 1, 0))
+    hi = _segment_tick(t, min(k + 1, SEGMENT_SAMPLES - 1))
     x, _ = _golden_max(ev, lo, hi)
     return _result(poly, (Fraction(x), 1 - t * Fraction(x)),
                    {"alpha": x, "beta": 1 - t * x},
-                   (float(alphas[k]), grid_val))
-
-
-def _grid_simplex(poly: BoundPolynomial, step: float = 1 / 2000):
-    m_val = poly.constraint[1]
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    a, b = np.meshgrid(ticks, ticks, indexing="ij")
-    keep = a + b <= 1.0 + 1e-12
-    a, b = a[keep], b[keep]
-    gmm = (1.0 - a - b) / (m_val - 1) if m_val > 1 else np.zeros_like(a)
-    vals = np.zeros_like(a)
-    for (i, j, k), c in poly.monomials.items():
-        vals += float(c) * a ** i * b ** j * gmm ** k
-    best = int(np.argmax(vals))
-    return (float(a[best]), float(b[best])), float(vals[best])
+                   (_segment_tick(t, k), float(grid_val)))
 
 
 def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
     m_val = poly.constraint[1]
-    (a0, b0), grid_val = _grid_simplex(poly)
+    i, j, grid_val = _simplex_start(poly)
+    a0, b0 = _simplex_tick(i), _simplex_tick(j)
     ev = poly.factored_evaluator()
     a, b = a0, b0
     # coordinate-wise golden section on the feasible segments through the incumbent
@@ -285,16 +455,31 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
         a, b = a_new, b_new
         if moved < 1e-12:
             break
-    gm = (1 - Fraction(a) - Fraction(b)) / (m_val - 1) if m_val > 1 else Fraction(0)
+    gm = (1 - Fraction(a) - Fraction(b)) / (m_val - 1)
     return _result(poly, (a, b, gm),
                    {"alpha": a, "beta": b, "gamma": float(gm)},
-                   ((a0, b0), grid_val))
+                   ((a0, b0), float(grid_val)))
 
 
 def optimize_bound(poly: BoundPolynomial) -> OptResult:
-    """Deterministic two-stage maximization over the polynomial's feasible set."""
-    if poly.constraint[0] == "segment":
+    """Deterministic two-stage maximization over the polynomial's feasible set.
+
+    Stage one finds, in exact arithmetic, the first maximum of the polynomial
+    over a fixed grid of floats: the SEGMENT_SAMPLES evenly spaced alphas of
+    a segment, or the ticks i/2000 of a simplex.  A segment polynomial must
+    carry a unimodality certificate (Bernstein coefficients that rise and
+    then fall), which every Theorem 2 polynomial has; then a binary search
+    finds its first maximum.  A simplex runs a Bernstein branch and bound.
+    Stage two refines the grid point with golden-section steps (coordinate
+    ascent on a simplex).  The reported value is the exact value at the
+    refined point; `grid_best` holds the grid point and its exact value as
+    a float.
+    """
+    kind, n = poly.constraint
+    if kind == "segment":
         return _optimize_segment(poly)
+    if n < 2:
+        raise BoundsError("simplex constraint needs M >= 2")
     return _optimize_simplex(poly)
 
 
@@ -345,10 +530,13 @@ class TableRow:
         return self.thm1_ok and self.cor1_ok and self.alpha_ok
 
 
-def reproduce_tables() -> dict[str, list[TableRow]]:
-    """Recompute both comparison tables and check every cell against the catalog."""
-    out: dict[str, list[TableRow]] = {"table1": [], "table2": []}
+def reproduce_tables(names=("table1", "table2")) -> dict[str, list[TableRow]]:
+    """Recompute the named comparison tables and check every cell against the catalog."""
+    out: dict[str, list[TableRow]] = {}
     for name, table, m, cap in (("table1", TABLE1_M2, 2, 4), ("table2", TABLE2_M3, 3, 10)):
+        if name not in names:
+            continue
+        out[name] = []
         for q, (p_thm1, p_cor1, p_alpha) in table.items():
             t = corollary1_t(m, q)
             exact = theorem1_lower(m, q)

@@ -34,15 +34,11 @@ USAGE_ERROR = 2
 def _emit(obj, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, indent=2, ensure_ascii=False, default=str))
-    elif fmt == "csv":
-        rows = obj if isinstance(obj, list) else obj.get("rows", [])
-        if rows:
-            cols = list(rows[0])
-            print(",".join(cols))
-            for r in rows:
-                print(",".join(str(r[c]) for c in cols))
-    else:
-        print(obj)
+    elif obj:   # csv: a list of rows with the same keys
+        cols = list(obj[0])
+        print(",".join(cols))
+        for r in obj:
+            print(",".join(str(r[c]) for c in cols))
 
 
 def _cmd_geometry(args) -> int:
@@ -192,7 +188,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_tables(args) -> int:
     if args.which in ("1", "2"):
-        rows = bounds.reproduce_tables()[f"table{args.which}"]
+        name = f"table{args.which}"
+        rows = bounds.reproduce_tables((name,))[name]
         data = [{
             "q": r.q, "t": r.t,
             "thm1": f"{r.thm1:.10f}", "cor1": f"{r.cor1:.10f}",

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf, sqrt as mpsqrt, ceil as mpceil  # noqa: F401
 
-from pgturan import refdata
+from pgturan import bounds, refdata
 from pgturan.bounds import (
+    BoundPolynomial,
     BoundsError,
     chromatic_lower,
     corollary1_t,
@@ -226,23 +228,115 @@ def test_value_string_rounding():
     assert value_string(Fraction(123456789012345678904, 10 ** 21)) == "0.1234567890123456789"
     assert value_string(Fraction(1, 4)) == "0.25"
     assert value_string(Fraction(3, 10 ** 5)) == "0.00003"
-    # the optima `pgturan bounds` prints
-    assert optimize_bound(theorem2_polynomial(5, 44)).value_str == "0.90068865791800638227"
-    assert optimize_bound(theorem3_polynomial(8, 7)).value_str == "0.76541608227166658325"
+
+
+def test_printed_optima_are_pinned():
+    # the two optima `pgturan bounds` prints, as the numpy grid start gave them
+    res = optimize_bound(theorem2_polynomial(5, 44))
+    assert repr(res.argmax) == "{'alpha': 0.009897678613775282, 'beta': 0.5645021409938875}"
+    assert repr(res.value) == "0.9006886579180063"
+    assert res.value_str == "0.90068865791800638227"
+    res = optimize_bound(theorem3_polynomial(8, 7))
+    assert repr(res.argmax) == ("{'alpha': 0.7782735434326036, 'beta': 0.09605900702578016, "
+                                "'gamma': 0.020944574923602712}")
+    assert repr(res.value) == "0.7654160822716666"
+    assert res.value_str == "0.76541608227166658325"
 
 
 def test_optimizer_runs_without_mpmath():
+    # the runtime is stdlib-only: neither test oracle may be imported
     code = ("import sys, pgturan, pgturan.cli\n"
             "from pgturan.bounds import optimize_bound, theorem2_polynomial, theorem3_polynomial\n"
             "optimize_bound(theorem2_polynomial(3, 5))\n"
             "optimize_bound(theorem3_polynomial(3, 2))\n"
-            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- exact grid start against the float grid it replaces --------------------------
+
+def _numpy_grid_segment(poly, samples=100_001):
+    t = poly.constraint[1]
+    alphas = np.linspace(0.0, 1.0 / t, samples)
+    betas = 1.0 - t * alphas
+    vals = np.zeros_like(alphas)
+    for (i, j), c in poly.monomials.items():
+        vals += float(c) * alphas ** i * betas ** j
+    k = int(np.argmax(vals))
+    return k, float(alphas[k])
+
+
+def _numpy_grid_simplex(poly, step=1 / 2000):
+    m_val = poly.constraint[1]
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    a, b = np.meshgrid(ticks, ticks, indexing="ij")
+    keep = a + b <= 1.0 + 1e-12
+    a, b = a[keep], b[keep]
+    gmm = (1.0 - a - b) / (m_val - 1)
+    vals = np.zeros_like(a)
+    for (i, j, k), c in poly.monomials.items():
+        vals += float(c) * a ** i * b ** j * gmm ** k
+    best = int(np.argmax(vals))
+    return float(a[best]), float(b[best])
+
+
+def test_segment_grid_start_matches_numpy():
+    cases = [(q, corollary1_t(m, q)) for table, m in ((refdata.TABLE1_M2, 2),
+                                                      (refdata.TABLE2_M3, 3))
+             for q in table]
+    cases += [(23, 670), (3, 5), (2, 6), (8, 11), (3, 7), (5, 9)]
+    for q, t in cases:
+        poly = theorem2_polynomial(q, t)
+        k, value = bounds._segment_start(poly)
+        assert (k, bounds._segment_tick(t, k)) == _numpy_grid_segment(poly), (q, t)
+        alpha = Fraction(bounds._segment_tick(t, k))
+        assert value == poly.evaluate((alpha, 1 - t * alpha))
+
+
+@pytest.mark.parametrize("q,M", [(q, M) for q, (M, _, _) in refdata.ARC_BOUND_OPTIMA.items()]
+                         + [(9, 8)])
+def test_simplex_grid_start_matches_numpy(q, M):
+    poly = theorem3_polynomial(q, M)
+    i, j, value = bounds._simplex_start(poly)
+    a, b = bounds._simplex_tick(i), bounds._simplex_tick(j)
+    assert (a, b) == _numpy_grid_simplex(poly)
+    assert value == poly.evaluate((a, b, (1 - Fraction(a) - Fraction(b)) / (M - 1)))
+
+
+def test_simplex_grid_start_breaks_ties_row_major():
+    # symmetric in alpha and beta, so (i, j) and (j, i) tie exactly
+    poly = BoundPolynomial(("alpha", "beta", "gamma"),
+                           {(4, 1, 1): Fraction(1), (1, 4, 1): Fraction(1)}, ("simplex", 2), {})
+    i, j, value = bounds._simplex_start(poly)
+    assert i < j
+    a, b = Fraction(bounds._simplex_tick(i)), Fraction(bounds._simplex_tick(j))
+    assert poly.evaluate((b, a, 1 - a - b)) == value == poly.evaluate((a, b, 1 - a - b))
+
+
+def test_halving_keeps_bernstein_coefficients_exact():
+    # the end coefficients on every subinterval are the polynomial's values there
+    coeffs = theorem2_polynomial(5, 9).univariate()
+    n, depth = len(coeffs) - 1, 10
+    bern = bounds._bernstein(coeffs)
+    scale = math.lcm(*(b.denominator for b in bern)) << (n * depth)
+    seq = [int(b * scale) for b in bern]
+    lo, width = Fraction(0), Fraction(1)
+    rng = random.Random(3)
+    for _ in range(depth):
+        left, right = bounds._halve(seq)
+        width /= 2
+        if rng.random() < 0.5:
+            seq = left
+        else:
+            seq, lo = right, lo + width
+        for x, b in ((lo, seq[0]), (lo + width, seq[-1])):
+            assert Fraction(b, scale) == sum(c * x ** d for d, c in enumerate(coeffs))
 
 
 # --- tables -----------------------------------------------------------------------

@@ -192,3 +192,26 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     mq_keys = {("compute_Mq", q) for q in refdata.MQ_VALUES}
     assert set(calls) == {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys
     assert all(n == 1 for n in calls.values()), calls
+
+
+def test_simplex_with_one_part_is_an_error(capsys):
+    code = main(["bounds", "--theorem", "3", "--q", "3", "--M-value", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: simplex constraint needs M >= 2\n"
+
+
+def test_tables_optimize_only_the_requested_table(monkeypatch, capsys):
+    calls = Counter()
+    original = bounds.optimize_bound
+
+    def counted(poly):
+        calls[poly.provenance["q"]] += 1
+        return original(poly)
+    monkeypatch.setattr(bounds, "optimize_bound", counted)
+    for which, table in (("2", refdata.TABLE2_M3), ("1", refdata.TABLE1_M2)):
+        calls.clear()
+        code, _ = run(capsys, "tables", "--which", which, "--format", "csv")
+        assert code == 0
+        assert sum(calls.values()) == len(table) == {"1": 11, "2": 6}[which]
+        assert set(calls) == set(table)
