@@ -236,8 +236,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-13):
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+    return (a + b) / 2
 
 
 SEGMENT_SAMPLES = 100_001   # evenly spaced alphas from 0 to 1/t, both ends included
@@ -435,7 +434,7 @@ def _optimize_segment(poly: BoundPolynomial) -> OptResult:
     ev = poly.factored_evaluator()
     lo = _segment_tick(t, max(k - 1, 0))
     hi = _segment_tick(t, min(k + 1, SEGMENT_SAMPLES - 1))
-    x, _ = _golden_max(ev, lo, hi)
+    x = _golden_max(ev, lo, hi)
     return _result(poly, (Fraction(x), 1 - t * Fraction(x)),
                    {"alpha": x, "beta": 1 - t * x},
                    (_segment_tick(t, k), float(grid_val)))
@@ -449,8 +448,8 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
     a, b = a0, b0
     # coordinate-wise golden section on the feasible segments through the incumbent
     for _ in range(400):
-        a_new, _ = _golden_max(lambda x: ev(x, b), 0.0, 1.0 - b)
-        b_new, _ = _golden_max(lambda y: ev(a_new, y), 0.0, 1.0 - a_new)
+        a_new = _golden_max(lambda x: ev(x, b), 0.0, 1.0 - b)
+        b_new = _golden_max(lambda y: ev(a_new, y), 0.0, 1.0 - a_new)
         moved = max(abs(a_new - a), abs(b_new - b))
         a, b = a_new, b_new
         if moved < 1e-12:

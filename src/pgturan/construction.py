@@ -1,16 +1,19 @@
 """The two partition constructions of PG-free hypergraphs, at desk scale.
 
-`t2` partitions vertices into X plus (sum_{i=1..m} q^i - k) singleton-capped
-parts; edges meet X in 1..q vertices and each small part at most once.  `t3`
-(planes only) adds a Y part that edges may meet twice, plus M(q)-1 singleton-
-capped parts.  Edge counting is exact combinatorics over the actual part
-sizes; PG-freeness is audited by explicit embedding search.
+`t2` partitions vertices into X plus (sum_{i=1..m} q^i - k) further parts.
+`t3` (planes only) partitions them into X, a Y part and M(q)-1 further parts.
+Both share one edge rule, held in `PartitionSpec.caps`: a (q+1)-set is an
+edge iff it meets X in at least 1 vertex and meets every part in at most its
+cap, which is q for X, 2 for the t3 Y part and 1 for every other part.  Edge
+counting is exact combinatorics over the actual part sizes; PG-freeness is
+audited by explicit embedding search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -51,16 +54,15 @@ class PartitionSpec:
             out.extend([part] * size)
         return out
 
+    @property
+    def caps(self) -> tuple[int, ...]:
+        """Most vertices an edge may take from each part, in `sizes` order."""
+        y_cap = 2 if self.scheme == "t3" else 1
+        return (self.q, *[y_cap] * len(self.y_sizes), *[1] * len(self.z_sizes))
+
     def edge_ok(self, counts) -> bool:
         """Whether a (q+1)-set with the given per-part counts is an edge."""
-        x = counts[0]
-        if not 1 <= x <= self.q:
-            return False
-        if self.scheme == "t2":
-            return all(c <= 1 for c in counts[1:])
-        if counts[1] > 2:
-            return False
-        return all(c <= 1 for c in counts[2:])
+        return counts[0] >= 1 and all(map(operator.le, counts, self.caps))
 
 
 def _largest_remainder(n: int, targets: list[float]) -> list[int]:
@@ -152,29 +154,19 @@ def build_hypergraph(spec: PartitionSpec, max_n: int | None = None) -> Hypergrap
     return Hypergraph(n=spec.n, r=spec.r, edges=edges, parts=part_of, spec=spec)
 
 
-def _elementary_symmetric(sizes, upto: int) -> list[int]:
-    e = [0] * (upto + 1)
-    e[0] = 1
-    for s in sizes:
-        for j in range(min(upto, len(e) - 1), 0, -1):
-            e[j] += e[j - 1] * s
-    return e
-
-
 def count_edges_exact(spec: PartitionSpec) -> int:
-    """Exact edge count from the part sizes alone (no enumeration)."""
-    q, r = spec.q, spec.r
-    if spec.scheme == "t2":
-        e = _elementary_symmetric(spec.y_sizes, r)
-        return sum(math.comb(spec.x_size, i) * e[r - i] for i in range(1, q + 1))
-    e = _elementary_symmetric(spec.z_sizes, r)
-    y = spec.y_sizes[0]
-    total = 0
-    for i in range(1, q + 1):
-        for j in range(0, min(2, r - i) + 1):
-            rest = r - i - j
-            total += math.comb(spec.x_size, i) * math.comb(y, j) * e[rest]
-    return total
+    """Exact edge count from the part sizes alone (no enumeration).
+
+    The x^r coefficient of the product over parts of sum_c C(size, c) x^c,
+    with c running over 0..cap (1..cap for X).
+    """
+    r = spec.r
+    coef = [1] + [0] * r
+    for part, (size, cap) in enumerate(zip(spec.sizes, spec.caps)):
+        low = 1 if part == 0 else 0
+        coef = [sum(coef[k - c] * math.comb(size, c) for c in range(low, min(cap, k) + 1))
+                for k in range(r + 1)]
+    return coef[r]
 
 
 def displayed_lower_bound(spec: PartitionSpec) -> int:
@@ -247,15 +239,10 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
     pattern points can be assigned parts, within capacity, such that every
     line's per-part count vector is an edge type.
     """
-    spec = h.spec
-    sizes = spec.sizes
+    sizes, caps = h.spec.sizes, h.spec.caps
     n_parts = len(sizes)
     order = _pattern_order(n_pts, pattern_lines)
-    pos = {p: i for i, p in enumerate(order)}
-    lines_by_last = [[] for _ in range(n_pts)]
-    for ln in pattern_lines:
-        last = max(pos[p] for p in ln)
-        lines_by_last[last].append(ln)
+    lines_through = [[ln for ln in pattern_lines if p in ln] for p in range(n_pts)]
 
     color = [-1] * n_pts
     used = [0] * n_parts
@@ -263,26 +250,18 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
     out_status = "no"
 
     def feasible_partial(p_new) -> bool:
-        # monotone caps can be checked on any line through the new point
-        for ln in pattern_lines:
-            if p_new not in ln:
-                continue
+        # caps are monotone, so only lines through the new point can break
+        for ln in lines_through[p_new]:
             counts = [0] * n_parts
             mapped = 0
             for p in ln:
-                if color[p] >= 0:
-                    counts[color[p]] += 1
+                part = color[p]
+                if part >= 0:
+                    counts[part] += 1
+                    if counts[part] > caps[part]:
+                        return False
                     mapped += 1
-            x = counts[0]
-            if x > spec.q:
-                return False
-            if spec.scheme == "t2":
-                if any(c > 1 for c in counts[1:]):
-                    return False
-            else:
-                if counts[1] > 2 or any(c > 1 for c in counts[2:]):
-                    return False
-            if mapped == len(ln) and x < 1:
+            if mapped == len(ln) and counts[0] == 0:
                 return False
         return True
 

@@ -64,30 +64,19 @@ def is_blocking_set(g: Geometry, mask: int) -> bool:
     return True
 
 
-def _min_blocking_exhaustive(g: Geometry):
-    """Smallest blocking set by scanning all subsets; only sane for tiny planes."""
-    n = g.n_points
-    best = None
-    for mask in range(1 << n):
-        if best is not None and mask.bit_count() >= best[0]:
-            continue
-        if is_blocking_set(g, mask):
-            best = (mask.bit_count(), mask)
-    return best
-
-
 def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
     """Exact minimum blocking set via iterative-deepening branch and bound.
 
     For each size target the search branches on the most deficient uncovered
     line (fewest remaining candidate points), bans tried points on the other
-    branches, and prunes with ceil(uncovered / (q+1)); a partial set dies as
-    soon as it fully contains a line.  Returns (size, witness, exact, nodes)
-    or None when no blocking set exists.
+    branches, and prunes with ceil(uncovered / lines through a point); a
+    partial set dies as soon as it fully contains a line.  Returns
+    (witness, exact, nodes); the witness is None when no blocking set exists
+    or the deadline passed.
     """
-    q = g.q
     lines = g.line_point_incidence
-    per_point = q + 1  # lines through a point, the max a new point can cover
+    # lines through a point, the most uncovered lines a new point can meet
+    per_point = g.point_line_incidence[0].bit_count()
     nodes = 0
     timed_out = False
 
@@ -127,11 +116,9 @@ def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
 
     for target in range(1, g.n_points + 1):
         got = search(0, 0, target)
-        if timed_out:
-            return None, 0, False, nodes
-        if got is not None:
-            return got.bit_count(), got, True, nodes
-    return None
+        if got is not None or timed_out:
+            return got, not timed_out, nodes
+    return None, True, nodes
 
 
 def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingSearchResult:
@@ -139,25 +126,15 @@ def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingS
 
     Uses the complement duality of blocking sets (every line has q+1 points,
     so a set blocks iff its complement does): the complement of a minimum
-    blocking set is a maximum one.  q <= 3 planes are scanned exhaustively,
-    larger ones use branch and bound with an optional time budget.
+    blocking set is a maximum one.  Branch and bound finds the minimum, within
+    an optional time budget.
     """
     deadline = time.monotonic() + budget if budget is not None else None
-    if g.q <= 3 and g.n_points <= 16:
-        found = _min_blocking_exhaustive(g)
-        if found is None:
-            return BlockingSearchResult(None, 0, True, 1 << g.n_points)
-        size, wmin = found
-        witness = g.all_points_mask & ~wmin
-        return BlockingSearchResult(g.n_points - size, witness, True, 1 << g.n_points)
-    found = _min_blocking_branch_and_bound(g, deadline)
-    if found is None:
-        return BlockingSearchResult(None, 0, True, 0)
-    size, wmin, exact, nodes = found
-    if not exact:
-        return BlockingSearchResult(None, 0, False, nodes)
+    wmin, exact, nodes = _min_blocking_branch_and_bound(g, deadline)
+    if wmin is None:
+        return BlockingSearchResult(None, 0, exact, nodes)
     witness = g.all_points_mask & ~wmin
-    return BlockingSearchResult(g.n_points - size, witness, exact, nodes)
+    return BlockingSearchResult(witness.bit_count(), witness, True, nodes)
 
 
 def is_arc(g: Geometry, mask: int) -> bool:
@@ -324,12 +301,6 @@ def collineation_to_frame(g: Geometry, pts: tuple[int, int, int, int]):
     return _mat_inverse(f, fwd)
 
 
-def _general_position_quad(g: Geometry, ids: tuple[int, ...]) -> tuple[int, int, int, int]:
-    quad = ids[:4]
-    projectivity_from_frame(g, quad)  # raises if degenerate; arcs never are
-    return quad
-
-
 def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
     """Whether two arcs of size >= 4 lie in the same PGammaL(3,q) orbit."""
     if mask_a.bit_count() != mask_b.bit_count():
@@ -342,7 +313,7 @@ def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
     for aut in range(f.k):
         m_aut = apply_field_automorphism(g, aut, mask_a)
         anchor_aut = tuple(bits(m_aut))[:4]
-        back = collineation_to_frame(g, _general_position_quad(g, anchor_aut))
+        back = collineation_to_frame(g, anchor_aut)
         rest = [g.points[p].coords for p in bits(apply_projectivity(g, back, m_aut))]
         for quad in itertools.permutations(ids_b, 4):
             try:

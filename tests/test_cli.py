@@ -3,8 +3,10 @@
 import json
 from collections import Counter
 
-from pgturan import bounds, refdata, verify
+from pgturan import bounds, covering, refdata, verify
 from pgturan.cli import main
+from pgturan.geometry import build_geometry, point_of
+from pgturan.structures import mask_of
 
 
 def run(capsys, *argv):
@@ -186,11 +188,20 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     counted(bounds, "reproduce_arc_optima")
     counted(bounds, "reproduce_tables")
     counted(verify, "compute_Mq", key=lambda g, *rest: g.q)
+    counted(verify, "verify_appendix", key=lambda g, which, *rest: which)
+    counted(covering, "m_of_arc", key=lambda g, arc, *rest: (g.q, arc.mask))
     claims = verify.run_all(budget=None)
     assert len(claims) == 75
     assert [c.claim_id for c in claims if c.status != "pass"] == ["table2.q23"]
     mq_keys = {("compute_Mq", q) for q in refdata.MQ_VALUES}
-    assert set(calls) == {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys
+    appendix_keys = {("verify_appendix", "A"), ("verify_appendix", "B")}
+    assert {key for key in calls if key[0] != "m_of_arc"} == (
+        {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys | appendix_keys)
+    for data in (refdata.APPENDIX_A, refdata.APPENDIX_B):
+        g = build_geometry(2, data["q"])
+        for case in data["cases"].values():
+            arc = mask_of(point_of(g, s) for s in case["arc"])
+            assert ("m_of_arc", (g.q, arc)) in calls
     assert all(n == 1 for n in calls.values()), calls
 
 

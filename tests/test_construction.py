@@ -1,5 +1,6 @@
 """Partition hypergraphs: rounding, exact counting vs enumeration, freeness."""
 
+import itertools
 import random
 
 import pytest
@@ -16,8 +17,8 @@ from pgturan.construction import (
 from pgturan.geometry import build_geometry
 
 
-def random_spec(rng):
-    q = rng.choice([2, 3])
+def random_spec(rng, q=None):
+    q = rng.choice([2, 3]) if q is None else q
     n = rng.randint(q + 2, 20 if q == 2 else 16)
     if rng.random() < 0.5:
         s = sum(q ** i for i in range(1, 3))
@@ -113,6 +114,40 @@ def test_every_edge_respects_scheme():
             assert len(e) == spec.r
 
 
+def scheme_edge_rule(spec, counts):
+    """The per-scheme form of the edge rule, kept as the reference for caps."""
+    if not 1 <= counts[0] <= spec.q:
+        return False
+    if spec.scheme == "t2":
+        return all(c <= 1 for c in counts[1:])
+    return counts[1] <= 2 and all(c <= 1 for c in counts[2:])
+
+
+def count_vectors(total, parts):
+    """Every vector of `parts` nonnegative counts summing to at most `total`."""
+    for bars in itertools.combinations(range(total + parts), parts):
+        cuts = (-1, *bars)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def test_caps_rule_matches_scheme_rule():
+    rng = random.Random(41)
+    for q in (2, 3, 4):
+        for _ in range(8):
+            spec = random_spec(rng, q)
+            assert len(spec.caps) == len(spec.sizes)
+            for counts in count_vectors(spec.r, len(spec.sizes)):
+                assert spec.edge_ok(counts) == scheme_edge_rule(spec, counts), (spec, counts)
+
+
+def test_count_matches_enumeration_at_q4():
+    rng = random.Random(4)
+    for _ in range(16):
+        spec = random_spec(rng, 4)
+        h = build_hypergraph(spec)
+        assert count_edges_exact(spec) == len(h.edges), spec
+
+
 def test_tiny_n_gives_empty_edge_set():
     spec = make_partition(3, 3, 2, "t3", (0.5, 0.4, 0.1), M=2)
     assert build_hypergraph(spec).edges == []
@@ -200,6 +235,33 @@ def test_generic_search_agrees_with_part_search():
         assert a.status == b.status == "no"   # blocking-set-free pattern
         no += 1
     assert no == 12
+    # arc partitions too: X must meet every line in 1..q points, i.e. be a
+    # blocking set, and the Fano plane has none
+    rng = random.Random(23)
+    for _ in range(10):
+        M = rng.randint(2, 7)
+        alpha = rng.uniform(0.1, 0.8)
+        beta = rng.uniform(0, 1 - alpha)
+        spec = make_partition(rng.randint(7, 9), 2, 2, "t3",
+                              (alpha, beta, (1 - alpha - beta) / (M - 1)), M=M)
+        h = build_hypergraph(spec)
+        a = contains_subgeometry(h, fano)
+        b = contains_subgeometry(h, fano, force_generic=True)
+        assert a.status == b.status == "no", spec
+
+
+@pytest.mark.parametrize("scheme,n,q,rates,kw,status,nodes,image", [
+    ("t2", 14, 2, (1 / 12,), {"k": 0}, "no", 4893, None),
+    ("t3", 16, 3, (0.5948588940, 0.3216013121, 0.0835397939), {"M": 2}, "no", 4526, None),
+    ("t3", 25, 3, (0.5948588940, 0.3216013121, 0.0835397939), {"M": 2}, "no", 4526, None),
+    ("t3", 14, 3, (6 / 14, 4 / 14, 1 / 14), {"M": 5}, "yes", 3077,
+     (0, 1, 2, 3, 7, 10, 4, 11, 9, 8, 5, 12, 6)),
+])
+def test_part_search_pinned_hosts(scheme, n, q, rates, kw, status, nodes, image):
+    spec = make_partition(n, q, 2, scheme, rates, **kw)
+    res = contains_subgeometry(build_hypergraph(spec), build_geometry(2, q))
+    assert (res.status, res.nodes) == (status, nodes)
+    assert res.witness == (None if image is None else dict(enumerate(image)))
 
 
 def test_part_search_finds_copies_when_constraints_allow():

@@ -52,6 +52,40 @@ def test_q3_exhaustive_scan_freezes_extremes():
     assert brute_force_extremes_q3() == (6, 7)
 
 
+def min_blocking_scan(g):
+    """Reference: (size, mask) of the first smallest blocking set in mask order,
+    or None; scans every subset, so only for planes of at most 15 points."""
+    best = None
+    for mask in range(1 << g.n_points):
+        if best is not None and mask.bit_count() >= best[0]:
+            continue
+        if is_blocking_set(g, mask):
+            best = (mask.bit_count(), mask)
+    return best
+
+
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (3, 2)])
+def test_branch_and_bound_matches_subset_scan(m, q):
+    g = build_geometry(m, q)
+    res = max_blocking_set_size(g)
+    scan = min_blocking_scan(g)
+    assert res.exact and res.explored_nodes > 0
+    if scan is None:
+        assert (res.size, res.witness) == (None, 0)
+    else:
+        assert res.size == g.n_points - scan[0]
+        assert res.witness.bit_count() == res.size
+        assert is_blocking_set(g, res.witness)
+
+
+def test_blocking_search_node_counts():
+    # the bound divides the uncovered lines by the lines through a point
+    # (q+1 in a plane, 7 in PG(3,2)); dividing by q+1 in PG(3,2) over-prunes
+    # to 459 nodes, which no reachable instance turns into a wrong answer
+    for m, q, nodes in ((2, 2, 187), (2, 3, 490), (3, 2, 1040)):
+        assert max_blocking_set_size(build_geometry(m, q)).explored_nodes == nodes
+
+
 def test_max_blocking_sizes():
     assert max_blocking_set_size(build_geometry(2, 2)).size is None
     r3 = max_blocking_set_size(build_geometry(2, 3))
