@@ -97,7 +97,6 @@ class OptResult:
     argmax: dict[str, float]
     value: float
     value_str: str           # exact value at the argmax, 20 significant digits
-    grid_best: tuple
 
 
 def value_string(x: Fraction) -> str:
@@ -214,12 +213,11 @@ def theorem3_polynomial(q: int, M: int) -> BoundPolynomial:
     )
 
 
-def _result(poly: BoundPolynomial, point, argmax: dict[str, float],
-            grid_best: tuple) -> OptResult:
+def _result(poly: BoundPolynomial, point, argmax: dict[str, float]) -> OptResult:
     """Report the exact value of `poly` at the rational `point`."""
     value = poly.evaluate(point)
     return OptResult(argmax=argmax, value=float(value),
-                     value_str=value_string(value), grid_best=grid_best)
+                     value_str=value_string(value))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-13):
@@ -430,22 +428,20 @@ def _simplex_start(poly: BoundPolynomial) -> tuple[int, int, Fraction]:
 
 def _optimize_segment(poly: BoundPolynomial) -> OptResult:
     t = poly.constraint[1]
-    k, grid_val = _segment_start(poly)
+    k, _ = _segment_start(poly)
     ev = poly.factored_evaluator()
     lo = _segment_tick(t, max(k - 1, 0))
     hi = _segment_tick(t, min(k + 1, SEGMENT_SAMPLES - 1))
     x = _golden_max(ev, lo, hi)
     return _result(poly, (Fraction(x), 1 - t * Fraction(x)),
-                   {"alpha": x, "beta": 1 - t * x},
-                   (_segment_tick(t, k), float(grid_val)))
+                   {"alpha": x, "beta": 1 - t * x})
 
 
 def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
     m_val = poly.constraint[1]
-    i, j, grid_val = _simplex_start(poly)
-    a0, b0 = _simplex_tick(i), _simplex_tick(j)
+    i, j, _ = _simplex_start(poly)
     ev = poly.factored_evaluator()
-    a, b = a0, b0
+    a, b = _simplex_tick(i), _simplex_tick(j)
     # coordinate-wise golden section on the feasible segments through the incumbent
     for _ in range(400):
         a_new = _golden_max(lambda x: ev(x, b), 0.0, 1.0 - b)
@@ -456,8 +452,7 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
             break
     gm = (1 - Fraction(a) - Fraction(b)) / (m_val - 1)
     return _result(poly, (a, b, gm),
-                   {"alpha": a, "beta": b, "gamma": float(gm)},
-                   ((a0, b0), float(grid_val)))
+                   {"alpha": a, "beta": b, "gamma": float(gm)})
 
 
 def optimize_bound(poly: BoundPolynomial) -> OptResult:
@@ -471,8 +466,7 @@ def optimize_bound(poly: BoundPolynomial) -> OptResult:
     finds its first maximum.  A simplex runs a Bernstein branch and bound.
     Stage two refines the grid point with golden-section steps (coordinate
     ascent on a simplex).  The reported value is the exact value at the
-    refined point; `grid_best` holds the grid point and its exact value as
-    a float.
+    refined point.
     """
     kind, n = poly.constraint
     if kind == "segment":

@@ -1,12 +1,12 @@
 """The two partition constructions of PG-free hypergraphs, at desk scale.
 
-`t2` partitions vertices into X plus (sum_{i=1..m} q^i - k) further parts.
-`t3` (planes only) partitions them into X, a Y part and M(q)-1 further parts.
-Both share one edge rule, held in `PartitionSpec.caps`: a (q+1)-set is an
-edge iff it meets X in at least 1 vertex and meets every part in at most its
-cap, which is q for X, 2 for the t3 Y part and 1 for every other part.  Edge
-counting is exact combinatorics over the actual part sizes; PG-freeness is
-audited by explicit embedding search.
+A partition is its part sizes and caps (`PartitionSpec`): a (q+1)-set is an
+edge iff it meets X, part 0, in at least 1 vertex and every part in at most
+its cap.  Only `make_partition` tells the paper's two constructions apart:
+`t2` splits the vertices into X plus (sum_{i=1..m} q^i - k) parts of cap 1,
+`t3` (planes only) into X, a Y part of cap 2 and M(q)-1 parts of cap 1; X
+has cap q in both.  Edge counting is exact combinatorics over the part
+sizes; PG-freeness is audited by explicit embedding search.
 """
 
 from __future__ import annotations
@@ -27,21 +27,19 @@ class ConstructionError(ValueError):
 DEFAULT_MAX_N = {2: 40, 3: 25}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionSpec:
+    """n vertices split into parts for (q+1)-uniform edges, X first.
+
+    `sizes` are the integer part sizes, `caps` the most vertices an edge may
+    take from each part, and `targets` the real part sizes that `sizes`
+    rounds.
+    """
     n: int
     q: int
-    m: int
-    scheme: str                  # "t2" | "t3"
-    x_size: int
-    y_sizes: tuple[int, ...]     # t2: the singleton-capped parts; t3: (y_size,)
-    z_sizes: tuple[int, ...]     # t3 only, else ()
-    rates: tuple[float, ...]
-    k_or_M: int
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return (self.x_size, *self.y_sizes, *self.z_sizes)
+    sizes: tuple[int, ...]
+    caps: tuple[int, ...]
+    targets: tuple[float, ...]
 
     @property
     def r(self) -> int:
@@ -53,12 +51,6 @@ class PartitionSpec:
         for part, size in enumerate(self.sizes):
             out.extend([part] * size)
         return out
-
-    @property
-    def caps(self) -> tuple[int, ...]:
-        """Most vertices an edge may take from each part, in `sizes` order."""
-        y_cap = 2 if self.scheme == "t3" else 1
-        return (self.q, *[y_cap] * len(self.y_sizes), *[1] * len(self.z_sizes))
 
     def edge_ok(self, counts) -> bool:
         """Whether a (q+1)-set with the given per-part counts is an edge."""
@@ -98,11 +90,9 @@ def make_partition(n: int, q: int, m: int, scheme: str, rates,
             raise ConstructionError("rates must be nonnegative")
         if abs(beta - (1.0 - t * alpha)) > 1e-9:
             raise ConstructionError("rates violate beta = 1 - t*alpha")
-        sizes = _largest_remainder(n, [beta * n] + [alpha * n] * t)
-        return PartitionSpec(n=n, q=q, m=m, scheme="t2",
-                             x_size=sizes[0], y_sizes=tuple(sizes[1:]), z_sizes=(),
-                             rates=(alpha, beta), k_or_M=k)
-    if scheme == "t3":
+        targets = [beta * n] + [alpha * n] * t
+        caps = (q,) + (1,) * t
+    elif scheme == "t3":
         if M is None:
             raise ConstructionError("t3 needs M, the minimum passant-cover value")
         if m != 2:
@@ -112,12 +102,12 @@ def make_partition(n: int, q: int, m: int, scheme: str, rates,
             raise ConstructionError("rates must be nonnegative")
         if abs(alpha + beta + (M - 1) * gamma - 1.0) > 1e-9:
             raise ConstructionError("rates violate alpha + beta + (M-1)*gamma = 1")
-        sizes = _largest_remainder(n, [alpha * n, beta * n] + [gamma * n] * (M - 1))
-        return PartitionSpec(n=n, q=q, m=2, scheme="t3",
-                             x_size=sizes[0], y_sizes=(sizes[1],),
-                             z_sizes=tuple(sizes[2:]),
-                             rates=(alpha, beta, gamma), k_or_M=M)
-    raise ConstructionError(f"unknown scheme {scheme!r}")
+        targets = [alpha * n, beta * n] + [gamma * n] * (M - 1)
+        caps = (q, 2) + (1,) * (M - 1)
+    else:
+        raise ConstructionError(f"unknown scheme {scheme!r}")
+    return PartitionSpec(n=n, q=q, sizes=tuple(_largest_remainder(n, targets)),
+                         caps=caps, targets=tuple(targets))
 
 
 @dataclass
@@ -125,7 +115,6 @@ class Hypergraph:
     n: int
     r: int
     edges: list[tuple[int, ...]]
-    parts: list[int] | None = None       # part index per vertex, when partitioned
     spec: PartitionSpec | None = None
 
     def edge_set(self) -> set[frozenset[int]]:
@@ -137,9 +126,9 @@ def complete_hypergraph(n: int, r: int) -> Hypergraph:
                       edges=[tuple(e) for e in itertools.combinations(range(n), r)])
 
 
-def build_hypergraph(spec: PartitionSpec, max_n: int | None = None) -> Hypergraph:
+def build_hypergraph(spec: PartitionSpec) -> Hypergraph:
     """Explicit edge list of the partition construction (desk scale only)."""
-    cap = max_n if max_n is not None else DEFAULT_MAX_N.get(spec.q, 18)
+    cap = DEFAULT_MAX_N.get(spec.q, 18)
     if spec.n > cap:
         raise ConstructionError(f"n={spec.n} beyond enumeration budget {cap}")
     part_of = spec.part_of_vertex()
@@ -151,47 +140,33 @@ def build_hypergraph(spec: PartitionSpec, max_n: int | None = None) -> Hypergrap
             counts[part_of[v]] += 1
         if spec.edge_ok(counts):
             edges.append(combo)
-    return Hypergraph(n=spec.n, r=spec.r, edges=edges, parts=part_of, spec=spec)
+    return Hypergraph(n=spec.n, r=spec.r, edges=edges, spec=spec)
 
 
-def count_edges_exact(spec: PartitionSpec) -> int:
-    """Exact edge count from the part sizes alone (no enumeration).
-
-    The x^r coefficient of the product over parts of sum_c C(size, c) x^c,
-    with c running over 0..cap (1..cap for X).
-    """
-    r = spec.r
+def _edge_count(sizes, caps, r: int) -> int:
+    """The x^r coefficient of the product over parts of sum_c C(size, c) x^c,
+    with c running over 0..cap (1..cap for X)."""
     coef = [1] + [0] * r
-    for part, (size, cap) in enumerate(zip(spec.sizes, spec.caps)):
+    for part, (size, cap) in enumerate(zip(sizes, caps)):
         low = 1 if part == 0 else 0
         coef = [sum(coef[k - c] * math.comb(size, c) for c in range(low, min(cap, k) + 1))
                 for k in range(r + 1)]
     return coef[r]
 
 
+def count_edges_exact(spec: PartitionSpec) -> int:
+    """Exact edge count from the part sizes alone (no enumeration)."""
+    return _edge_count(spec.sizes, spec.caps, spec.r)
+
+
 def displayed_lower_bound(spec: PartitionSpec) -> int:
-    """The floor-rate undercount the constructions are quoted with.
+    """The floor-rate undercount the constructions are quoted with: the edge
+    count with every part size set to its floored target.
 
     Always at most count_edges_exact for partitions produced by
     make_partition, since every part size is at least the floored target.
     """
-    n, q, r = spec.n, spec.q, spec.r
-    if spec.scheme == "t2":
-        alpha, beta = spec.rates
-        t = len(spec.y_sizes)
-        fb, fa = math.floor(beta * n), math.floor(alpha * n)
-        return sum(math.comb(fb, i) * math.comb(t, r - i) * fa ** (r - i)
-                   for i in range(1, q + 1))
-    alpha, beta, gamma = spec.rates
-    M = spec.k_or_M
-    fa, fb, fg = math.floor(alpha * n), math.floor(beta * n), math.floor(gamma * n)
-    total = 0
-    for i in range(1, q + 1):
-        for j in range(max(0, q + 2 - M - i), min(2, q + 1 - i) + 1):
-            k = r - i - j
-            total += (math.comb(M - 1, k) * math.comb(fa, i)
-                      * math.comb(fb, j) * fg ** k)
-    return total
+    return _edge_count([math.floor(t) for t in spec.targets], spec.caps, spec.r)
 
 
 # --- embedding search ---------------------------------------------------------
@@ -232,7 +207,7 @@ def _pattern_order(n_points: int, lines) -> list[int]:
 
 
 def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
-                    deadline, node_budget) -> SubgeometryResult:
+                    deadline) -> SubgeometryResult:
     """Embedding search for partition hosts, factored through part counts.
 
     Vertices inside one part are interchangeable, so an embedding exists iff
@@ -270,9 +245,6 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
         if step == n_pts:
             return True
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            out_status = "timeout"
-            return False
         if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
             out_status = "timeout"
             return False
@@ -304,7 +276,7 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
 
 
 def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
-                    deadline, node_budget) -> SubgeometryResult:
+                    deadline) -> SubgeometryResult:
     """Backtracking over pattern points mapping into arbitrary hosts."""
     edge_set = h.edge_set()
     order = _pattern_order(n_pts, pattern_lines)
@@ -327,9 +299,6 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
         if step == n_pts:
             return True
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            out_status = "timeout"
-            return False
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             out_status = "timeout"
             return False
@@ -371,7 +340,6 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
 
 def contains_subgeometry(h: Hypergraph, pattern: Geometry,
                          budget: float | None = None,
-                         node_budget: int | None = None,
                          force_generic: bool = False) -> SubgeometryResult:
     """Search for a copy of the geometry inside the hypergraph.
 
@@ -388,5 +356,5 @@ def contains_subgeometry(h: Hypergraph, pattern: Geometry,
     n_pts = len(pattern.points)
     deadline = time.monotonic() + budget if budget is not None else None
     if h.spec is not None and not force_generic:
-        return _search_colored(h, pattern_lines, n_pts, deadline, node_budget)
-    return _search_generic(h, pattern_lines, n_pts, deadline, node_budget)
+        return _search_colored(h, pattern_lines, n_pts, deadline)
+    return _search_generic(h, pattern_lines, n_pts, deadline)

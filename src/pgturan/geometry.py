@@ -32,18 +32,18 @@ class ProjLine:
     dual: tuple[int, ...] | None = None  # normalized [x,y,z], m=2 only
 
 
-@dataclass
+@dataclass(frozen=True)
 class Geometry:
     m: int
     q: int
     field: FieldTable
-    points: list[ProjPoint]
-    lines: list[ProjLine]
+    points: tuple[ProjPoint, ...]
+    lines: tuple[ProjLine, ...]
     point_index: dict[tuple[int, ...], int]
-    dual_index: dict[tuple[int, ...], int]          # m=2 only, else empty
-    point_line_incidence: list[int]                 # bitset of line ids per point
-    line_point_incidence: list[int]                 # bitset of point ids per line
-    pair_line: list[list[int]] = field(repr=False)  # (point,point) -> line id
+    dual_index: dict[tuple[int, ...], int]               # m=2 only, else empty
+    point_line_incidence: tuple[int, ...]                # bitset of line ids per point
+    line_point_incidence: tuple[int, ...]                # bitset of point ids per line
+    pair_line: tuple[tuple[int, ...], ...] = field(repr=False)  # (point,point) -> line id
 
     @property
     def n_points(self) -> int:
@@ -59,17 +59,20 @@ class Geometry:
 
     def normalize(self, vec) -> tuple[int, ...]:
         """Canonical representative of the projective point spanned by vec."""
-        f = self.field
-        lead = next((c for c in vec if c != 0), 0)
-        if lead == 0:
-            raise GeometryError("zero vector has no projective point")
-        if lead == 1:
-            return tuple(vec)
-        s = f.inv(lead)
-        return tuple(f.mul(s, c) for c in vec)
+        return _normalize(self.field, vec)
 
     def point_id(self, vec) -> int:
-        return self.point_index[self.normalize(vec)]
+        return self.point_index[_normalize(self.field, vec)]
+
+
+def _normalize(f: FieldTable, vec) -> tuple[int, ...]:
+    lead = next((c for c in vec if c != 0), 0)
+    if lead == 0:
+        raise GeometryError("zero vector has no projective point")
+    if lead == 1:
+        return tuple(vec)
+    s = f.inv(lead)
+    return tuple(f.mul(s, c) for c in vec)
 
 
 def _enumerate_points(f: FieldTable, m: int) -> list[tuple[int, ...]]:
@@ -99,35 +102,29 @@ def _cross(f: FieldTable, u, v) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def build_geometry(m: int, q: int, modulus: tuple[int, ...] | None = None) -> Geometry:
+def build_geometry(m: int, q: int) -> Geometry:
     """Construct PG_m(q) with full incidence data.
 
-    The result is cached and must be treated as immutable.
+    The result is cached, so it is a frozen dataclass over tuples; its two
+    index dicts are never written after construction.
     """
     if m < 2:
         raise GeometryError("projective dimension must be at least 2")
     if q > MAX_GEOMETRY_Q:
         raise GeometryError(f"geometry construction supports q <= {MAX_GEOMETRY_Q}")
     p, k = _factor_prime_power(q)
-    f = make_field(p, k, modulus)
+    f = make_field(p, k)
 
     coord_list = _enumerate_points(f, m)
     point_index = {c: i for i, c in enumerate(coord_list)}
     n = len(coord_list)
     assert n == sum(q ** i for i in range(m + 1))
 
-    g = Geometry(
-        m=m, q=q, field=f,
-        points=[ProjPoint(c) for c in coord_list],
-        lines=[],
-        point_index=point_index,
-        dual_index={},
-        point_line_incidence=[0] * n,
-        line_point_incidence=[],
-        pair_line=[[-1] * n for _ in range(n)],
-    )
-
-    pair_line = g.pair_line
+    lines: list[ProjLine] = []
+    dual_index: dict[tuple[int, ...], int] = {}
+    point_line_incidence = [0] * n
+    line_point_incidence: list[int] = []
+    pair_line = [[-1] * n for _ in range(n)]
     for a in range(n):
         ua = coord_list[a]
         for b in range(a + 1, n):
@@ -137,24 +134,33 @@ def build_geometry(m: int, q: int, modulus: tuple[int, ...] | None = None) -> Ge
             ids = [a]
             for t in range(q):
                 vec = tuple(f.add(f.mul(t, x), y) for x, y in zip(ua, ub))
-                ids.append(g.point_id(vec))
+                ids.append(point_index[_normalize(f, vec)])
             ids.sort()
-            lid = len(g.lines)
+            lid = len(lines)
             dual = None
             if m == 2:
-                dual = g.normalize(_cross(f, ua, ub))
-                g.dual_index[dual] = lid
-            g.lines.append(ProjLine(tuple(ids), dual))
+                dual = _normalize(f, _cross(f, ua, ub))
+                dual_index[dual] = lid
+            lines.append(ProjLine(tuple(ids), dual))
             mask = 0
             for pid in ids:
                 mask |= 1 << pid
-                g.point_line_incidence[pid] |= 1 << lid
-            g.line_point_incidence.append(mask)
+                point_line_incidence[pid] |= 1 << lid
+            line_point_incidence.append(mask)
             for i, x in enumerate(ids):
                 for y in ids[i + 1:]:
                     pair_line[x][y] = lid
                     pair_line[y][x] = lid
-    return g
+    return Geometry(
+        m=m, q=q, field=f,
+        points=tuple(ProjPoint(c) for c in coord_list),
+        lines=tuple(lines),
+        point_index=point_index,
+        dual_index=dual_index,
+        point_line_incidence=tuple(point_line_incidence),
+        line_point_incidence=tuple(line_point_incidence),
+        pair_line=tuple(map(tuple, pair_line)),
+    )
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

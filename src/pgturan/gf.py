@@ -104,21 +104,21 @@ def _poly_to_index(c, p: int) -> int:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldTable:
-    """Arithmetic tables for GF(p^k); immutable after construction."""
+    """Arithmetic tables for GF(p^k), immutable: a frozen dataclass over tuples."""
 
     p: int
     k: int
     q: int
     modulus: tuple[int, ...]
-    add_table: list[list[int]]
-    mul_table: list[list[int]]
-    neg_table: list[int]
-    inv_table: list[int]
+    add_table: tuple[tuple[int, ...], ...]
+    mul_table: tuple[tuple[int, ...], ...]
+    neg_table: tuple[int, ...]
+    inv_table: tuple[int, ...]
     primitive: int
-    log_table: list[int] = field(repr=False)   # log base `primitive`; log[0] unused
-    exp_table: list[int] = field(repr=False)
+    log_table: tuple[int, ...] = field(repr=False)   # log base `primitive`; log[0] unused
+    exp_table: tuple[int, ...] = field(repr=False)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -257,9 +257,9 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
 
     return FieldTable(
         p=p, k=k, q=q, modulus=mod,
-        add_table=add_table, mul_table=mul_table,
-        neg_table=neg_table, inv_table=inv_table,
-        primitive=primitive, log_table=log_table, exp_table=exp_table,
+        add_table=tuple(map(tuple, add_table)), mul_table=tuple(map(tuple, mul_table)),
+        neg_table=tuple(neg_table), inv_table=tuple(inv_table),
+        primitive=primitive, log_table=tuple(log_table), exp_table=tuple(exp_table),
     )
 
 

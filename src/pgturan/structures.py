@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .geometry import Geometry
 
 
+ARC_ENUMERATION_MAX_Q = 8
+
+
 class StructureError(ValueError):
     pass
 
@@ -202,15 +205,16 @@ def frame_point_ids(g: Geometry) -> tuple[int, ...]:
     return (*e, u)
 
 
-def enumerate_complete_arcs(g: Geometry, max_q: int = 8, force: bool = False) -> list[ArcRecord]:
+def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]:
     """All complete arcs containing the standard frame, deduplicated as sets.
 
     Every complete arc of size >= 4 is collineation-equivalent to at least one
-    of the outputs.  Guarded to q <= max_q; pass force=True to override.
+    of the outputs.  Guarded to q <= ARC_ENUMERATION_MAX_Q; pass force=True to
+    override.
     """
     if g.m != 2:
         raise StructureError("complete-arc enumeration needs m=2")
-    if g.q > max_q and not force:
+    if g.q > ARC_ENUMERATION_MAX_Q and not force:
         raise StructureError(f"q={g.q} beyond enumeration budget (force=True to override)")
     frame = frame_point_ids(g)
     frame_mask = mask_of(frame)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bounds, refdata
@@ -75,13 +75,13 @@ def _geometry_claims(corrupt: bool = False) -> list[ClaimSpec]:
 
 
 def _corrupted_copy(g):
-    """Deliberately break the field tables, for the negative control."""
-    import copy
-    bad = copy.deepcopy(g)
-    bad.field.mul_table[1][1] = 0
-    if bad.line_point_incidence:
-        bad.line_point_incidence[0] ^= 1
-    return bad
+    """A copy of `g` with broken field tables, for the negative control."""
+    f = g.field
+    mul_table = (f.mul_table[0], (f.mul_table[1][0], 0, *f.mul_table[1][2:]),
+                 *f.mul_table[2:])
+    lines = g.line_point_incidence
+    return replace(g, field=replace(f, mul_table=mul_table),
+                   line_point_incidence=(lines[0] ^ 1, *lines[1:]))
 
 
 def _classification_claims(mq) -> list[ClaimSpec]:

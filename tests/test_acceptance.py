@@ -172,7 +172,7 @@ def test_criterion_7a_count_oracle():
             a = rng.uniform(0.05, 0.9)
             b = rng.uniform(0, 1 - a)
             spec = make_partition(n, q, 2, "t3", (a, b, (1 - a - b) / (M - 1)), M=M)
-        assert count_edges_exact(spec) == len(build_hypergraph(spec, max_n=40).edges)
+        assert count_edges_exact(spec) == len(build_hypergraph(spec).edges)
         checked += 1
     ok = checked >= 50
     report("7a", ok, f"{checked} randomized specs, exact count == enumeration")

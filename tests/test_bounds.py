@@ -153,10 +153,11 @@ def test_optimizer_beats_printed_alpha_on_tables():
 
 
 def test_optimum_stage_trace():
-    res = optimize_bound(theorem2_polynomial(3, 5))
-    grid_alpha, grid_val = res.grid_best
-    assert abs(grid_alpha - res.argmax["alpha"]) < 1e-4
-    assert res.value >= grid_val - 1e-15
+    poly = theorem2_polynomial(3, 5)
+    res = optimize_bound(poly)
+    k, grid_val = bounds._segment_start(poly)
+    assert abs(bounds._segment_tick(5, k) - res.argmax["alpha"]) < 1e-4
+    assert res.value >= float(grid_val) - 1e-15
     assert abs(res.argmax["alpha"] - 0.0809) < 1e-4
     assert abs(res.value - 0.69586) < 1e-4
 

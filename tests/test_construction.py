@@ -1,6 +1,7 @@
 """Partition hypergraphs: rounding, exact counting vs enumeration, freeness."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from pgturan.geometry import build_geometry
 
 
 def random_spec(rng, q=None):
+    """A random desk-scale plane partition as (scheme, rates, spec); t2 rates
+    are (alpha, beta), t3 rates (alpha, beta, gamma)."""
     q = rng.choice([2, 3]) if q is None else q
     n = rng.randint(q + 2, 20 if q == 2 else 16)
     if rng.random() < 0.5:
@@ -25,12 +28,13 @@ def random_spec(rng, q=None):
         k = rng.randint(0, s - 2)
         t = s - k
         alpha = rng.uniform(0, 1.0 / t)
-        return make_partition(n, q, 2, "t2", (alpha,), k=k)
+        rates = (alpha, 1.0 - t * alpha)
+        return "t2", rates, make_partition(n, q, 2, "t2", rates, k=k)
     M = rng.randint(2, 5)
     alpha = rng.uniform(0.05, 0.9)
     beta = rng.uniform(0, 1 - alpha)
-    gamma = (1 - alpha - beta) / (M - 1)
-    return make_partition(n, q, 2, "t3", (alpha, beta, gamma), M=M)
+    rates = (alpha, beta, (1 - alpha - beta) / (M - 1))
+    return "t3", rates, make_partition(n, q, 2, "t3", rates, M=M)
 
 
 # --- partitions ---------------------------------------------------------------
@@ -46,15 +50,15 @@ def test_partition_sizes_near_targets():
 
 def test_partition_t2_alpha_zero_boundary():
     spec = make_partition(14, 2, 2, "t2", (0.0,), k=0)
-    assert spec.x_size == 14
-    assert all(s == 0 for s in spec.y_sizes)
+    assert spec.sizes[0] == 14
+    assert all(s == 0 for s in spec.sizes[1:])
 
 
 def test_partition_t2_table_rates():
     spec = make_partition(1000, 3, 2, "t2", (0.0809,), k=7)
-    assert len(spec.y_sizes) == 5
-    assert abs(spec.x_size - 595.5) <= 1
-    assert all(abs(y - 80.9) <= 1 for y in spec.y_sizes)
+    assert spec.caps == (3, 1, 1, 1, 1, 1)
+    assert abs(spec.sizes[0] - 595.5) <= 1
+    assert all(abs(y - 80.9) <= 1 for y in spec.sizes[1:])
 
 
 def test_partition_rejects_bad_rates():
@@ -71,14 +75,14 @@ def test_partition_rejects_bad_rates():
 def test_partition_sizes_sum_randomized():
     rng = random.Random(11)
     for _ in range(40):
-        spec = random_spec(rng)
+        scheme, rates, spec = random_spec(rng)
         assert sum(spec.sizes) == spec.n
-        if spec.scheme == "t2":
-            targets = [spec.rates[1] * spec.n] \
-                + [spec.rates[0] * spec.n] * len(spec.y_sizes)
+        n, parts = spec.n, len(spec.sizes) - 1
+        if scheme == "t2":
+            targets = [rates[1] * n] + [rates[0] * n] * parts
         else:
-            targets = [spec.rates[0] * spec.n, spec.rates[1] * spec.n] \
-                + [spec.rates[2] * spec.n] * len(spec.z_sizes)
+            targets = [rates[0] * n, rates[1] * n] + [rates[2] * n] * (parts - 1)
+        assert list(spec.targets) == targets
         for size, target in zip(spec.sizes, targets):
             assert abs(size - target) <= 1
 
@@ -88,23 +92,23 @@ def test_partition_sizes_sum_randomized():
 def test_count_matches_enumeration_on_50_random_specs():
     rng = random.Random(20260809)
     for _ in range(55):
-        spec = random_spec(rng)
-        h = build_hypergraph(spec, max_n=40)
+        _, _, spec = random_spec(rng)
+        h = build_hypergraph(spec)
         assert count_edges_exact(spec) == len(h.edges), spec
 
 
 def test_displayed_bound_never_exceeds_exact():
     rng = random.Random(5)
     for _ in range(40):
-        spec = random_spec(rng)
+        _, _, spec = random_spec(rng)
         assert displayed_lower_bound(spec) <= count_edges_exact(spec)
 
 
 def test_every_edge_respects_scheme():
     rng = random.Random(3)
     for _ in range(15):
-        spec = random_spec(rng)
-        h = build_hypergraph(spec, max_n=40)
+        _, _, spec = random_spec(rng)
+        h = build_hypergraph(spec)
         part_of = spec.part_of_vertex()
         for e in h.edges:
             counts = [0] * len(spec.sizes)
@@ -114,13 +118,35 @@ def test_every_edge_respects_scheme():
             assert len(e) == spec.r
 
 
-def scheme_edge_rule(spec, counts):
+def scheme_edge_rule(scheme, q, counts):
     """The per-scheme form of the edge rule, kept as the reference for caps."""
-    if not 1 <= counts[0] <= spec.q:
+    if not 1 <= counts[0] <= q:
         return False
-    if spec.scheme == "t2":
+    if scheme == "t2":
         return all(c <= 1 for c in counts[1:])
     return counts[1] <= 2 and all(c <= 1 for c in counts[2:])
+
+
+def scheme_displayed_bound(scheme, n, q, rates, parts):
+    """The per-scheme floor-rate formulas the displayed bound was first written
+    with, kept as the reference for the count at floored targets.  `parts` is
+    t, the number of alpha parts, for t2 and M for t3."""
+    r = q + 1
+    if scheme == "t2":
+        alpha, beta = rates
+        fb, fa = math.floor(beta * n), math.floor(alpha * n)
+        return sum(math.comb(fb, i) * math.comb(parts, r - i) * fa ** (r - i)
+                   for i in range(1, q + 1))
+    alpha, beta, gamma = rates
+    M = parts
+    fa, fb, fg = math.floor(alpha * n), math.floor(beta * n), math.floor(gamma * n)
+    total = 0
+    for i in range(1, q + 1):
+        for j in range(max(0, q + 2 - M - i), min(2, q + 1 - i) + 1):
+            k = r - i - j
+            total += (math.comb(M - 1, k) * math.comb(fa, i)
+                      * math.comb(fb, j) * fg ** k)
+    return total
 
 
 def count_vectors(total, parts):
@@ -134,16 +160,46 @@ def test_caps_rule_matches_scheme_rule():
     rng = random.Random(41)
     for q in (2, 3, 4):
         for _ in range(8):
-            spec = random_spec(rng, q)
+            scheme, _, spec = random_spec(rng, q)
             assert len(spec.caps) == len(spec.sizes)
             for counts in count_vectors(spec.r, len(spec.sizes)):
-                assert spec.edge_ok(counts) == scheme_edge_rule(spec, counts), (spec, counts)
+                assert spec.edge_ok(counts) == scheme_edge_rule(scheme, q, counts), \
+                    (spec, counts)
+
+
+def test_displayed_bound_matches_scheme_formulas():
+    rng = random.Random(8)
+    drawn = set()
+    for _ in range(240):
+        q = rng.choice([2, 3, 4, 5, 7, 8])
+        n = rng.randint(q + 2, 400)
+        if rng.random() < 0.5:
+            m = rng.choice([2, 3])
+            k = rng.randint(0, q + q * q - 1)
+            t = sum(q ** i for i in range(1, m + 1)) - k
+            alpha = rng.uniform(0, 1.0 / t)
+            rates = (alpha, 1.0 - t * alpha)
+            scheme, parts = "t2", t
+            spec = make_partition(n, q, m, scheme, rates, k=k)
+            drawn.add((scheme, m))
+        else:
+            M = rng.randint(1, q + 2)
+            alpha = rng.uniform(0.05, 0.9)
+            beta = rng.uniform(0, 1 - alpha) if M > 1 else 1 - alpha
+            gamma = (1 - alpha - beta) / (M - 1) if M > 1 else 0.0
+            rates = (alpha, beta, gamma)
+            scheme, parts = "t3", M
+            spec = make_partition(n, q, 2, scheme, rates, M=M)
+            drawn.add((scheme, min(M, 2)))
+        assert displayed_lower_bound(spec) == \
+            scheme_displayed_bound(scheme, n, q, rates, parts), (scheme, rates, spec)
+    assert drawn == {("t2", 2), ("t2", 3), ("t3", 1), ("t3", 2)}
 
 
 def test_count_matches_enumeration_at_q4():
     rng = random.Random(4)
     for _ in range(16):
-        spec = random_spec(rng, 4)
+        _, _, spec = random_spec(rng, 4)
         h = build_hypergraph(spec)
         assert count_edges_exact(spec) == len(h.edges), spec
 
@@ -157,22 +213,21 @@ def test_tiny_n_gives_empty_edge_set():
 def test_empty_parts_contribute_nothing():
     # all singleton-capped parts empty: every edge needs one, so none exist
     spec = make_partition(10, 2, 2, "t2", (0.01,), k=0)
-    assert set(spec.y_sizes) == {0}
+    assert set(spec.sizes[1:]) == {0}
     assert count_edges_exact(spec) == len(build_hypergraph(spec).edges) == 0
     # an empty part alongside populated ones changes no count
     spec2 = make_partition(10, 2, 2, "t2", (0.05,), k=0)
-    assert 0 in spec2.y_sizes and set(spec2.y_sizes) != {0}
+    assert 0 in spec2.sizes[1:] and set(spec2.sizes[1:]) != {0}
     assert count_edges_exact(spec2) == len(build_hypergraph(spec2).edges)
 
 
 def test_equal_size_specialization():
     # with every singleton part of equal size a, choosing j of them is C(t,j)*a^j
-    import math
     spec = make_partition(23, 3, 2, "t2", (2 / 23,), k=7)
-    assert set(spec.y_sizes) == {2}
+    assert set(spec.sizes[1:]) == {2}
     a = 2
-    t = len(spec.y_sizes)
-    expect = sum(math.comb(spec.x_size, i) * math.comb(t, 4 - i) * a ** (4 - i)
+    t = len(spec.sizes) - 1
+    expect = sum(math.comb(spec.sizes[0], i) * math.comb(t, 4 - i) * a ** (4 - i)
                  for i in range(1, 4))
     assert count_edges_exact(spec) == expect
 
@@ -248,6 +303,32 @@ def test_generic_search_agrees_with_part_search():
         a = contains_subgeometry(h, fano)
         b = contains_subgeometry(h, fano, force_generic=True)
         assert a.status == b.status == "no", spec
+    # PG(2,3) has 6-point blocking sets, so with X near 7 and a few singleton
+    # parts the arc partitions admit copies; the generic search is only run
+    # where the part search says yes, since it is slow to exhaust a q=3 host
+    g3 = build_geometry(2, 3)
+    rng = random.Random(29)
+    yes = 0
+    for _ in range(8):
+        n = rng.randint(13, 15)
+        M = rng.randint(4, 5)
+        alpha = rng.uniform(6.6, 7.4) / n
+        gamma = rng.uniform(1.0, 1.2) / n
+        spec = make_partition(n, 3, 2, "t3",
+                              (alpha, 1 - alpha - (M - 1) * gamma, gamma), M=M)
+        h = build_hypergraph(spec)
+        a = contains_subgeometry(h, g3)
+        if a.status != "yes":
+            continue
+        b = contains_subgeometry(h, g3, force_generic=True)
+        assert b.status == "yes", spec
+        edges = h.edge_set()
+        for res in (a, b):
+            assert len(set(res.witness.values())) == g3.n_points
+            for line in g3.lines:
+                assert frozenset(res.witness[p] for p in line.point_ids) in edges
+        yes += 1
+    assert yes >= 6
 
 
 @pytest.mark.parametrize("scheme,n,q,rates,kw,status,nodes,image", [
@@ -291,10 +372,10 @@ def test_witness_determinism():
     assert r1.witness == r2.witness
 
 
-def test_node_budget_timeout():
+def test_zero_budget_times_out():
+    # the deadline is read every 2048 nodes, and this host needs 4526 to say no
     spec = make_partition(16, 3, 2, "t3",
                           (0.5948588940, 0.3216013121, 0.0835397939), M=2)
     h = build_hypergraph(spec)
-    res = contains_subgeometry(h, build_geometry(2, 3), node_budget=5)
-    assert res.status == "timeout"
-    assert res.witness is None
+    res = contains_subgeometry(h, build_geometry(2, 3), budget=0)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 2048, None)

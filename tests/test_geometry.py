@@ -15,19 +15,42 @@ from pgturan.geometry import (
     parse_coords,
     point_of,
 )
+from pgturan.verify import run_all
 
 PLANES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9)]
 SOLIDS = [(3, 2), (3, 3)]
 
 
-@pytest.mark.parametrize("m,q", PLANES + SOLIDS)
-def test_counts_match_closed_forms(m, q):
-    g = build_geometry(m, q)
+def assert_geometry_invariants(g, m, q):
     assert g.n_points == expected_point_count(m, q)
     assert g.n_lines == expected_line_count(m, q)
     deg = (q ** m - 1) // (q - 1)
     assert all(inc.bit_count() == deg for inc in g.point_line_incidence)
     assert all(lm.bit_count() == q + 1 for lm in g.line_point_incidence)
+
+
+@pytest.mark.parametrize("m,q", PLANES + SOLIDS)
+def test_counts_match_closed_forms(m, q):
+    assert_geometry_invariants(build_geometry(m, q), m, q)
+
+
+def test_cached_geometry_is_immutable():
+    g = build_geometry(2, 3)
+    with pytest.raises(TypeError):
+        g.line_point_incidence[0] = 0
+    with pytest.raises(TypeError):
+        g.field.mul_table[1][1] = 0
+
+
+def test_corrupt_field_leaves_cached_geometry_intact():
+    claims = run_all(budget=0, corrupt_field=True)
+    geometry = [c for c in claims if c.claim_id.startswith("geometry.")]
+    # the corrupted copies fail the checks; they do not crash building them
+    assert geometry and all(c.status == "fail" for c in geometry)
+    assert not any(c.computed.startswith("error") for c in geometry)
+    g = build_geometry(2, 3)
+    assert_geometry_invariants(g, 2, 3)
+    assert all(g.field.mul(1, a) == a for a in range(3))
 
 
 def test_small_counts():
