@@ -6,7 +6,9 @@ first maximum of the polynomial over a fixed grid of floats.  On a segment it
 binary-searches the samples, which is sound because the polynomial's
 Bernstein coefficients rise and then fall, so it is unimodal there.  On a
 simplex it runs a best-first Bernstein branch and bound over boxes of grid
-indices.  Golden-section steps then refine the grid point in floats.  The
+indices.  Golden-section steps then refine the grid point in floats; on a
+simplex they run as a coordinate ascent over line functions compiled once per
+polynomial, which return the factored evaluator's floats bit for bit.  The
 reported value is the exact rational value of the polynomial at the refined
 point, so it carries well past the 10 digits the comparisons need.  Only the
 standard library is used.
@@ -90,6 +92,68 @@ class BoundPolynomial:
                        for c, e in terms3)
 
         return ev3
+
+    def line_functions(self):
+        """`(along_alpha, along_beta)` for a simplex polynomial.
+
+        `along_alpha(b)` is `x -> factored_evaluator()(x, b)` and
+        `along_beta(a)` is `y -> factored_evaluator()(a, y)`, equal bit for
+        bit: every term is still c * alpha**i * beta**j * gamma**k multiplied
+        left to right, the terms are summed in monomial order by `sum`, and
+        only the exact factors x**0 == 1.0 and x**1 == x are dropped.  What
+        does not move along the line (b**j, or the leading product c * a**i)
+        is computed once per line, each other power once per call.  Both are
+        compiled from generated source once per polynomial.
+        """
+        if self.constraint[0] != "simplex":
+            raise BoundsError("line functions need the simplex constraint")
+        terms = [(repr(float(c)), *e) for e, c in self.monomials.items()]
+        div = self.constraint[1] - 1
+        # along alpha: c * x**i * b**j * g**k, with b**j fixed per line
+        alpha_fixed = _powers("b", {j for _, _, j, _ in terms})
+        alpha_free = _powers("x", {i for _, i, _, _ in terms})
+        alpha_sum = [_product(c, _power("x", i), _power("b", j), _power("g", k))
+                     for c, i, j, k in terms]
+        # along beta: p * y**j * g**k, with p = c * a**i fixed per line
+        beta_fixed = _powers("a", {i for _, i, _, _ in terms}) + [
+            f"p{n} = {_product(c, _power('a', i))}" for n, (c, i, _, _) in enumerate(terms)]
+        beta_free = _powers("y", {j for _, _, j, _ in terms})
+        beta_sum = [_product(f"p{n}", _power("y", j), _power("g", k))
+                    for n, (_, _, j, k) in enumerate(terms)]
+        gamma = _powers("g", {k for *_, k in terms})
+        src = "\n".join([
+            "def along_alpha(b):",
+            *(f"    {s}" for s in alpha_fixed),
+            "    def line(x):",
+            f"        g = (1.0 - x - b) / {div}",
+            *(f"        {s}" for s in alpha_free + gamma),
+            f"        return sum([{', '.join(alpha_sum)}])",
+            "    return line",
+            "def along_beta(a):",
+            *(f"    {s}" for s in beta_fixed),
+            "    def line(y):",
+            f"        g = (1.0 - a - y) / {div}",
+            *(f"        {s}" for s in beta_free + gamma),
+            f"        return sum([{', '.join(beta_sum)}])",
+            "    return line",
+        ])
+        namespace: dict = {}
+        exec(compile(src, "<line functions>", "exec"), namespace)
+        return namespace["along_alpha"], namespace["along_beta"]
+
+
+def _power(var: str, e: int) -> str | None:
+    """Source of the factor var**e: none for e = 0, var for e = 1, else its name."""
+    return None if e == 0 else var if e == 1 else f"{var}{e}"
+
+
+def _powers(var: str, exponents) -> list[str]:
+    """Assignments of each var**e, e >= 2, that `_power` names."""
+    return [f"{var}{e} = {var} ** {e}" for e in sorted(exponents) if e > 1]
+
+
+def _product(*factors) -> str:
+    return " * ".join(f for f in factors if f is not None)
 
 
 @dataclass
@@ -440,12 +504,14 @@ def _optimize_segment(poly: BoundPolynomial) -> OptResult:
 def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
     m_val = poly.constraint[1]
     i, j, _ = _simplex_start(poly)
-    ev = poly.factored_evaluator()
+    along_alpha, along_beta = poly.line_functions()
     a, b = _simplex_tick(i), _simplex_tick(j)
-    # coordinate-wise golden section on the feasible segments through the incumbent
+    # coordinate-wise golden section on the feasible segments through the
+    # incumbent; the printed argmax digits depend on every comparison, so the
+    # line functions must return factored_evaluator's floats bit for bit
     for _ in range(400):
-        a_new = _golden_max(lambda x: ev(x, b), 0.0, 1.0 - b)
-        b_new = _golden_max(lambda y: ev(a_new, y), 0.0, 1.0 - a_new)
+        a_new = _golden_max(along_alpha(b), 0.0, 1.0 - b)
+        b_new = _golden_max(along_beta(a_new), 0.0, 1.0 - a_new)
         moved = max(abs(a_new - a), abs(b_new - b))
         a, b = a_new, b_new
         if moved < 1e-12:

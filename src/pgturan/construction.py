@@ -165,8 +165,9 @@ def displayed_lower_bound(spec: PartitionSpec) -> int:
 
     Always at most count_edges_exact for partitions produced by
     make_partition, since every part size is at least the floored target.
+    A target just below zero, which make_partition allows, floors to 0.
     """
-    return _edge_count([math.floor(t) for t in spec.targets], spec.caps, spec.r)
+    return _edge_count([max(0, math.floor(t)) for t in spec.targets], spec.caps, spec.r)
 
 
 # --- embedding search ---------------------------------------------------------

@@ -169,6 +169,43 @@ def test_constraint_satisfied_at_argmax():
         assert abs(a["alpha"] + a["beta"] + (M - 1) * a["gamma"] - 1) < 1e-12
 
 
+def test_line_functions_match_factored_evaluator_bit_for_bit():
+    # the coordinate ascent reads the compiled line functions; the argmax
+    # digits stay the same only if they return factored_evaluator's floats
+    polys = [theorem3_polynomial(q, M) for q, (M, _, _) in refdata.ARC_BOUND_OPTIMA.items()]
+    polys += [theorem3_polynomial(q, M) for q in range(2, 12) for M in range(2, q + 3)]
+    rng = random.Random(10)
+    for poly in polys:
+        ev = poly.factored_evaluator()
+        along_alpha, along_beta = poly.line_functions()
+        for _ in range(8):
+            a = rng.random()
+            b = rng.random() * (1.0 - a)
+            on_alpha, on_beta = along_alpha(b), along_beta(a)
+            # both ends of each feasible segment, and points along it
+            for x in (0.0, 1.0 - b, a, *(rng.random() * (1.0 - b) for _ in range(4))):
+                assert on_alpha(x) == ev(x, b), (poly.provenance, x, b)
+            for y in (0.0, 1.0 - a, b, *(rng.random() * (1.0 - a) for _ in range(4))):
+                assert on_beta(y) == ev(a, y), (poly.provenance, a, y)
+    with pytest.raises(BoundsError):
+        theorem2_polynomial(3, 5).line_functions()
+
+
+def test_simplex_argmax_bits_pinned():
+    # float.hex of the ascent's final (alpha, beta) on each catalog plane, as
+    # the ascent over factored_evaluator gave them
+    pinned = {
+        3: ("0x1.30915858c86bep-1", "0x1.4951daf36ba86p-2"),
+        4: ("0x1.5030aa2c7a3c2p-1", "0x1.d697aa63b75eep-3"),
+        5: ("0x1.66716cad68f0ep-1", "0x1.666ccf0bca2adp-3"),
+        7: ("0x1.840a86bae527cp-1", "0x1.d40abe096537cp-4"),
+        8: ("0x1.8e79deb0c527ap-1", "0x1.89752b5a97636p-4"),
+    }
+    got = {row["q"]: (row["argmax"]["alpha"].hex(), row["argmax"]["beta"].hex())
+           for row in reproduce_arc_optima()}
+    assert got == pinned
+
+
 @pytest.mark.parametrize("poly", [theorem2_polynomial(3, 5), theorem3_polynomial(3, 2)],
                          ids=["segment", "simplex"])
 def test_optimizer_leaves_global_precision_alone(poly):

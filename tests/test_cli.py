@@ -114,6 +114,15 @@ def test_freeness_command(capsys):
     assert data["displayed_lower_bound"] <= data["count_exact"]
 
 
+def test_freeness_accepts_a_rate_just_below_zero(capsys):
+    code, out = run(capsys, "freeness", "--scheme", "t3", "--q", "3", "--n", "10",
+                    "--rates", "1.0000000000001,-1e-13,0", "--M", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["part_sizes"] == [10, 0, 0]
+    assert data["displayed_lower_bound"] == data["count_exact"] == 0
+
+
 def test_freeness_usage_error(capsys):
     code = main(["freeness", "--scheme", "t2", "--q", "2", "--n", "10",
                  "--rates", "0.05"])

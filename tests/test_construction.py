@@ -72,6 +72,15 @@ def test_partition_rejects_bad_rates():
         make_partition(10, 3, 2, "t2", (0.05,))                    # k missing
 
 
+def test_displayed_bound_floors_a_negative_target_at_zero():
+    # make_partition allows a rate just below zero; its target must count as
+    # an empty part, not floor to -1
+    spec = make_partition(10, 3, 2, "t3", (1 + 1e-13, -1e-13, 0.0), M=2)
+    assert spec.sizes == (10, 0, 0)
+    assert count_edges_exact(spec) == 0
+    assert displayed_lower_bound(spec) == 0
+
+
 def test_partition_sizes_sum_randomized():
     rng = random.Random(11)
     for _ in range(40):

@@ -1,5 +1,8 @@
 """Blocking sets, arcs, enumeration and classification against known structure."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -21,7 +24,9 @@ from pgturan.structures import (
     mask_of,
     max_blocking_set_size,
     max_concurrency,
+    projectivity_from_frame,
     secant_profile,
+    _matvec,
 )
 
 
@@ -246,6 +251,76 @@ def test_named_arcs_represent_the_two_classes():
     hits1 = [i for i, c in enumerate(cls) if arcs_equivalent(g, c[0], k1)]
     hits2 = [i for i, c in enumerate(cls) if arcs_equivalent(g, c[0], k2)]
     assert len(hits1) == 1 and len(hits2) == 1 and hits1 != hits2
+
+
+def _arcs_equivalent_reference(g, mask_a, mask_b):
+    """arcs_equivalent with the field automorphisms in the outer loop: every
+    ordered quad of mask_b is tried against one automorphism image of
+    mask_a before the next image is built."""
+    if mask_a.bit_count() != mask_b.bit_count():
+        return False
+    f = g.field
+    for aut in range(f.k):
+        m_aut = apply_field_automorphism(g, aut, mask_a)
+        back = collineation_to_frame(g, tuple(bits(m_aut))[:4])
+        rest = [g.points[p].coords for p in bits(apply_projectivity(g, back, m_aut))]
+        for quad in itertools.permutations(tuple(bits(mask_b)), 4):
+            try:
+                fwd = projectivity_from_frame(g, quad)
+            except StructureError:
+                continue
+            if all(mask_b >> g.point_id(_matvec(f, fwd, v)) & 1 for v in rest):
+                return True
+    return False
+
+
+def _classify_reference(g, masks):
+    classes = []
+    for m in masks:
+        for cls in classes:
+            if _arcs_equivalent_reference(g, cls[0], m):
+                cls.append(m)
+                break
+        else:
+            classes.append([m])
+    return classes
+
+
+@pytest.mark.parametrize("q", [5, 7, 8])
+def test_classification_matches_automorphism_outer_reference(q):
+    g = build_geometry(2, q)
+    masks = [a.mask for a in enumerate_complete_arcs(g)]
+    assert classify_up_to_collineation(g, masks) == _classify_reference(g, masks)
+
+
+def _random_collineation_image(g, rng, mask):
+    """mask under a seeded projectivity, then a seeded field automorphism."""
+    while True:
+        quad = tuple(rng.sample(range(g.n_points), 4))
+        try:
+            mat = projectivity_from_frame(g, quad)
+        except StructureError:
+            continue
+        return apply_field_automorphism(g, rng.randrange(g.field.k),
+                                        apply_projectivity(g, mat, mask))
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_equivalence_matches_reference_on_seeded_pairs(q):
+    rng = random.Random(q)
+    g = build_geometry(2, q)
+    arcs = [a.mask for a in enumerate_complete_arcs(g)]
+    pairs = [tuple(rng.sample(arcs, 2)) for _ in range(12)]
+    pairs += [(a, _random_collineation_image(g, rng, b))
+              for a, b in (rng.sample(arcs, 2) for _ in range(12))]
+    if q == 7:
+        # the two six-arc classes, in both orders
+        k1 = points(g, ["(-1,1,1)", "(1,1,1)", "(1,-1,1)", "(-1,-1,1)", "(0,2,1)", "(0,3,1)"])
+        k2 = points(g, ["(-1,1,1)", "(1,1,1)", "(1,-1,1)", "(-1,-1,1)", "(0,2,1)", "(0,-3,1)"])
+        pairs += [(k1, k2), (k2, k1), (k1, _random_collineation_image(g, rng, k2))]
+    got = [arcs_equivalent(g, a, b) for a, b in pairs]
+    assert got == [_arcs_equivalent_reference(g, a, b) for a, b in pairs]
+    assert True in got and False in got
 
 
 def test_classification_rejects_small_arcs():
