@@ -117,9 +117,6 @@ class Hypergraph:
     edges: list[tuple[int, ...]]
     spec: PartitionSpec | None = None
 
-    def edge_set(self) -> set[frozenset[int]]:
-        return {frozenset(e) for e in self.edges}
-
 
 def complete_hypergraph(n: int, r: int) -> Hypergraph:
     return Hypergraph(n=n, r=r,
@@ -278,24 +275,40 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
 
 def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
                     deadline) -> SubgeometryResult:
-    """Backtracking over pattern points mapping into arbitrary hosts."""
-    edge_set = h.edge_set()
+    """Backtracking over pattern points mapping into arbitrary hosts.
+
+    Reads only `h.n` and `h.edges`, so it stays an independent check of the
+    part-count search.  Host vertex sets are bitmasks: `completions[base]` is
+    the set of vertices w for which base plus w is an edge, over every base
+    that is an edge minus one vertex.  A point's candidates are the unused
+    vertices that complete every line the point closes, tried lowest first;
+    a candidate survives when every line left one point short still has a
+    free completion.
+    """
+    completions: dict[int, int] = {}
+    for e in h.edges:
+        em = 0
+        for v in e:
+            em |= 1 << v
+        for v in e:
+            base = em & ~(1 << v)
+            completions[base] = completions.get(base, 0) | (1 << v)
     order = _pattern_order(n_pts, pattern_lines)
     pos = {p: i for i, p in enumerate(order)}
-    closing = [[] for _ in range(n_pts)]     # lines fully mapped at this step
-    pending = [[] for _ in range(n_pts)]     # lines missing one point after this step
+    closing = [[] for _ in range(n_pts)]     # other points of lines closed at this step
+    pending = [[] for _ in range(n_pts)]     # mapped points of lines left one point short
     for ln in pattern_lines:
         steps = sorted(pos[p] for p in ln)
-        closing[steps[-1]].append(ln)
-        pending[steps[-2]].append(ln)
+        closing[steps[-1]].append([order[s] for s in steps[:-1]])
+        pending[steps[-2]].append([order[s] for s in steps[:-2]])
 
-    image = [-1] * n_pts
-    used: set[int] = set()
+    image = [0] * n_pts                    # each mapped point's host vertex, as one bit
+    all_vertices = (1 << h.n) - 1
+    get = completions.get
     nodes = 0
     out_status = "no"
-    host_vertices = list(range(h.n))
 
-    def rec(step: int) -> bool:
+    def rec(step: int, used: int) -> bool:
         nonlocal nodes, out_status
         if step == n_pts:
             return True
@@ -303,39 +316,39 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
             out_status = "timeout"
             return False
+        unused = all_vertices & ~used
+        cand = unused
+        for others in closing[step]:
+            base = 0
+            for x in others:
+                base |= image[x]
+            cand &= get(base, 0)
+        bases = []
+        for others in pending[step]:
+            base = 0
+            for x in others:
+                base |= image[x]
+            bases.append(base)
         p = order[step]
-        for v in host_vertices:
-            if v in used:
-                continue
-            image[p] = v
-            ok = True
-            for ln in closing[step]:
-                if frozenset(image[x] for x in ln) not in edge_set:
-                    ok = False
+        while cand:
+            vb = cand & -cand
+            cand ^= vb
+            free = unused ^ vb
+            # forward check: almost-complete lines must still be completable
+            for base in bases:
+                if not get(base | vb, 0) & free:
                     break
-            if ok:
-                # forward check: almost-complete lines must still be completable
-                for ln in pending[step]:
-                    mapped = [image[x] for x in ln if image[x] >= 0]
-                    if len(mapped) != len(ln) - 1:
-                        continue
-                    base = frozenset(mapped)
-                    if not any(base | {w} in edge_set
-                               for w in host_vertices if w not in used and w != v):
-                        ok = False
-                        break
-            if ok:
-                used.add(v)
-                if rec(step + 1):
+            else:
+                image[p] = vb
+                if rec(step + 1, used | vb):
                     return True
-                used.discard(v)
                 if out_status == "timeout":
                     return False
-            image[p] = -1
         return False
 
-    if rec(0):
-        return SubgeometryResult("yes", {p: image[p] for p in range(n_pts)}, nodes)
+    if rec(0, 0):
+        return SubgeometryResult("yes", {p: image[p].bit_length() - 1 for p in range(n_pts)},
+                                 nodes)
     return SubgeometryResult(out_status, None, nodes)
 
 

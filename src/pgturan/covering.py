@@ -5,7 +5,8 @@ solved by deterministic branch and bound: branch on the candidate points of
 an uncovered line (fewest candidates first, points in ascending index order),
 ban each tried point in its later siblings, and prune with depth + k, where k
 is the fewest unbanned points whose uncovered-line counts can add up to the
-uncovered count.
+uncovered count.  Those counts are kept incrementally: each child subtracts
+the lines its point newly covers, and a banned point counts 0.
 """
 
 from __future__ import annotations
@@ -77,12 +78,21 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     the fewest points (lowest index on ties), trying its points in ascending
     index order; once the branch that picks p returns, p is banned in the
     later sibling branches, and a node dies as soon as some uncovered line
-    has no unbanned point left.  The bound is top-k coverage: sort the
-    unbanned points by how many uncovered lines each meets and prune when the
-    best `best_size - depth - 1` of them cannot meet them all.  The witness
-    is the greedy cover when that is optimal, and otherwise the first optimal
-    cover in the unpruned branching order, so pruning never changes it.
-    Raises when some line misses the universe entirely.
+    has no unbanned point left.  The bound is top-k coverage: prune when the
+    `best_size - depth - 1` unbanned points that meet the most uncovered
+    lines cannot meet them all.
+
+    Each node carries one uncovered-line count per point.  The root starts
+    from each point's line count; a child copies its parent's counts and
+    subtracts, on every point, the lines its chosen point newly covers; a
+    parent zeroes the count of each point it bans.  Zeros never change a
+    top-k sum, so the bound is the sum of the k largest counts.  A node
+    likewise inherits the lines its parent's bans left without an unbanned
+    point, instead of rescanning every uncovered line.
+
+    The witness is the greedy cover when that is optimal, and otherwise the
+    first optimal cover in the unpruned branching order, so pruning never
+    changes it.  Raises when some line misses the universe entirely.
     """
     fam = [lm & universe for lm in family]
     for i, lm in enumerate(fam):
@@ -92,7 +102,12 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         return HittingSetResult(0, 0, True, 1)
     deadline = time.monotonic() + budget if budget is not None else None
     n_fam = len(fam)
-    fam_size = [lm.bit_count() for lm in fam]
+    # family indices grouped by line size, smallest lines first
+    size_masks: dict[int, int] = {}
+    for i, lm in enumerate(fam):
+        size = lm.bit_count()
+        size_masks[size] = size_masks.get(size, 0) | (1 << i)
+    lines_by_size = [size_masks[size] for size in sorted(size_masks)]
 
     # point -> bitmask over family indices it covers
     cover_of: dict[int, int] = {}
@@ -100,7 +115,9 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         for p in bits(lm):
             cover_of[p] = cover_of.get(p, 0) | (1 << i)
     candidate_points = sorted(cover_of)
-    point_covers = [(1 << p, cover_of[p]) for p in candidate_points]
+    # uncovered-line counts live in a list indexed by slot, one per point
+    slot = {p: j for j, p in enumerate(candidate_points)}
+    line_slots = [[slot[p] for p in bits(lm)] for lm in fam]
 
     all_lines = (1 << n_fam) - 1
     nodes = 0
@@ -120,7 +137,8 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     best_size = len(greedy)
     best_set = mask_of(greedy)
 
-    def search(chosen: int, covered: int, banned: int, depth: int):
+    def search(chosen: int, covered: int, banned: int, depth: int,
+               count: list[int], dead: int):
         nonlocal best_size, best_set, nodes, timed_out
         nodes += 1
         if timed_out or (deadline is not None and nodes % 4096 == 0
@@ -131,28 +149,40 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
             if depth < best_size:
                 best_size, best_set = depth, chosen
             return
-        # branch on the uncovered line with fewest candidate points; a line
-        # whose points are all banned can no longer be met
+        # an uncovered line whose points are all banned can no longer be met
         rem = all_lines & ~covered
-        pick, pick_sz = None, None
-        for i in bits(rem):
-            if not fam[i] & ~banned:
-                return
-            if pick_sz is None or fam_size[i] < pick_sz:
-                pick, pick_sz = i, fam_size[i]
+        if dead & rem:
+            return
         # top-k bound: the best_size - depth - 1 unbanned points that meet the
         # most uncovered lines must together meet them all
-        counts = sorted([(c & rem).bit_count() for pb, c in point_covers
-                         if not banned & pb], reverse=True)
-        if sum(counts[:max(best_size - depth - 1, 0)]) < rem.bit_count():
+        k = max(best_size - depth - 1, 0)
+        if sum(sorted(count, reverse=True)[:k]) < rem.bit_count():
             return
+        # branch on the uncovered line with fewest points, lowest index on ties
+        for size_mask in lines_by_size:
+            open_lines = rem & size_mask
+            if open_lines:
+                break
+        pick = (open_lines & -open_lines).bit_length() - 1
+        dead = 0  # uncovered lines this node's own bans leave unmeetable
         for p in bits(fam[pick] & ~banned):
-            search(chosen | (1 << p), covered | cover_of[p], banned, depth + 1)
+            met = cover_of[p] & rem  # the lines p newly covers
+            child = count.copy()
+            for i in bits(met):
+                for j in line_slots[i]:
+                    if child[j]:  # a zero here is a banned point; it stays 0
+                        child[j] -= 1
+            search(chosen | (1 << p), covered | cover_of[p], banned, depth + 1,
+                   child, dead)
             if timed_out:
                 return
             banned |= 1 << p  # later branches must meet the line elsewhere
+            count[slot[p]] = 0
+            for i in bits(met):
+                if not fam[i] & ~banned:
+                    dead |= 1 << i
 
-    search(0, 0, 0, 0)
+    search(0, 0, 0, 0, [cover_of[p].bit_count() for p in candidate_points], 0)
     return HittingSetResult(best_size, best_set, not timed_out, nodes)
 
 

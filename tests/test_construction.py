@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from pgturan.construction import (
     ConstructionError,
+    Hypergraph,
+    _pattern_order,
     build_hypergraph,
     complete_hypergraph,
     contains_subgeometry,
@@ -284,6 +287,109 @@ def test_arc_partition_host_is_free():
     assert res.status == "no"
 
 
+def search_generic_reference(h, pattern_lines, n_pts, deadline=None):
+    """The generic embedding search over frozenset edges, kept as the oracle
+    for the bitmask search: same point order, vertex order and forward check,
+    so it must agree on status, node count and witness."""
+    edge_set = {frozenset(e) for e in h.edges}
+    order = _pattern_order(n_pts, pattern_lines)
+    pos = {p: i for i, p in enumerate(order)}
+    closing = [[] for _ in range(n_pts)]     # lines fully mapped at this step
+    pending = [[] for _ in range(n_pts)]     # lines missing one point after this step
+    for ln in pattern_lines:
+        steps = sorted(pos[p] for p in ln)
+        closing[steps[-1]].append(ln)
+        pending[steps[-2]].append(ln)
+
+    image = [-1] * n_pts
+    used: set[int] = set()
+    nodes = 0
+    out_status = "no"
+    host_vertices = list(range(h.n))
+
+    def rec(step: int) -> bool:
+        nonlocal nodes, out_status
+        if step == n_pts:
+            return True
+        nodes += 1
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            out_status = "timeout"
+            return False
+        p = order[step]
+        for v in host_vertices:
+            if v in used:
+                continue
+            image[p] = v
+            ok = True
+            for ln in closing[step]:
+                if frozenset(image[x] for x in ln) not in edge_set:
+                    ok = False
+                    break
+            if ok:
+                # forward check: almost-complete lines must still be completable
+                for ln in pending[step]:
+                    mapped = [image[x] for x in ln if image[x] >= 0]
+                    if len(mapped) != len(ln) - 1:
+                        continue
+                    base = frozenset(mapped)
+                    if not any(base | {w} in edge_set
+                               for w in host_vertices if w not in used and w != v):
+                        ok = False
+                        break
+            if ok:
+                used.add(v)
+                if rec(step + 1):
+                    return True
+                used.discard(v)
+                if out_status == "timeout":
+                    return False
+            image[p] = -1
+        return False
+
+    if rec(0):
+        return "yes", nodes, {p: image[p] for p in range(n_pts)}
+    return out_status, nodes, None
+
+
+def assert_generic_matches_reference(h, pattern):
+    res = contains_subgeometry(h, pattern, force_generic=True)
+    lines = [tuple(ln.point_ids) for ln in pattern.lines]
+    want = search_generic_reference(h, lines, len(pattern.points))
+    assert (res.status, res.nodes, res.witness) == want
+    return want
+
+
+def test_generic_search_matches_reference_on_random_hosts():
+    fano = build_geometry(2, 2)
+    rng = random.Random(31)
+    statuses = []
+    for _ in range(40):
+        n = rng.randint(7, 11)
+        density = rng.choice([0.3, 0.5, 0.7, 0.9])
+        edges = [e for e in itertools.combinations(range(n), 3) if rng.random() < density]
+        statuses.append(assert_generic_matches_reference(Hypergraph(n=n, r=3, edges=edges),
+                                                         fano)[0])
+    assert {"yes", "no"} <= set(statuses)
+
+
+@pytest.mark.parametrize("scheme,n,q,rates,kw,status,nodes", [
+    ("t2", 11, 2, (1 / 12,), {"k": 0}, "no", 162_332),
+    ("t3", 14, 3, (6 / 14, 4 / 14, 1 / 14), {"M": 5}, "yes", 8_389),
+])
+def test_generic_search_matches_reference_on_partition_hosts(scheme, n, q, rates, kw,
+                                                             status, nodes):
+    h = build_hypergraph(make_partition(n, q, 2, scheme, rates, **kw))
+    got = assert_generic_matches_reference(h, build_geometry(2, q))
+    assert got[:2] == (status, nodes)
+
+
+def test_generic_search_zero_budget_times_out():
+    # the generic search reads the deadline every 1024 nodes
+    h = build_hypergraph(make_partition(11, 2, 2, "t2", (1 / 12,), k=0))
+    res = contains_subgeometry(h, build_geometry(2, 2), budget=0, force_generic=True)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 1024, None)
+
+
 def test_generic_search_agrees_with_part_search():
     fano = build_geometry(2, 2)
     rng = random.Random(17)
@@ -331,7 +437,7 @@ def test_generic_search_agrees_with_part_search():
             continue
         b = contains_subgeometry(h, g3, force_generic=True)
         assert b.status == "yes", spec
-        edges = h.edge_set()
+        edges = {frozenset(e) for e in h.edges}
         for res in (a, b):
             assert len(set(res.witness.values())) == g3.n_points
             for line in g3.lines:

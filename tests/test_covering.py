@@ -1,6 +1,8 @@
 """Exact minimum covers: solver vs brute force, M(q), and the pencil analysis."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import hypothesis.strategies as st
 
 from pgturan.covering import (
     CoveringError,
+    HittingSetResult,
     compute_Mq,
     exhaustive_cover_exists,
     m_of_arc,
@@ -133,14 +136,118 @@ def test_mq_witness_covers_pinned(q):
     assert got == PRINTED_COVERS[q]
 
 
-def test_frame_anchored_q9_arcs_need_eight_points():
+def min_hitting_set_reference(universe, family, budget=None):
+    """The hitting-set kernel that recounts every unbanned point's uncovered
+    lines at each node, kept as the oracle for the incremental counts: same
+    branching, bound and deadline, so it must agree on size, witness and
+    node count."""
+    fam = [lm & universe for lm in family]
+    if not fam:
+        return HittingSetResult(0, 0, True, 1)
+    deadline = time.monotonic() + budget if budget is not None else None
+    n_fam = len(fam)
+    fam_size = [lm.bit_count() for lm in fam]
+
+    # point -> bitmask over family indices it covers
+    cover_of: dict[int, int] = {}
+    for i, lm in enumerate(fam):
+        for p in bits(lm):
+            cover_of[p] = cover_of.get(p, 0) | (1 << i)
+    candidate_points = sorted(cover_of)
+    point_covers = [(1 << p, cover_of[p]) for p in candidate_points]
+
+    all_lines = (1 << n_fam) - 1
+    nodes = 0
+    timed_out = False
+
+    # greedy incumbent: most new lines covered, lowest point index on ties
+    covered = 0
+    greedy: list[int] = []
+    while covered != all_lines:
+        best_p, best_c = None, -1
+        for p in candidate_points:
+            c = (cover_of[p] & ~covered).bit_count()
+            if c > best_c:
+                best_p, best_c = p, c
+        greedy.append(best_p)
+        covered |= cover_of[best_p]
+    best_size = len(greedy)
+    best_set = mask_of(greedy)
+
+    def search(chosen: int, covered: int, banned: int, depth: int):
+        nonlocal best_size, best_set, nodes, timed_out
+        nodes += 1
+        if timed_out or (deadline is not None and nodes % 4096 == 0
+                         and time.monotonic() > deadline):
+            timed_out = True
+            return
+        if covered == all_lines:
+            if depth < best_size:
+                best_size, best_set = depth, chosen
+            return
+        # branch on the uncovered line with fewest candidate points; a line
+        # whose points are all banned can no longer be met
+        rem = all_lines & ~covered
+        pick, pick_sz = None, None
+        for i in bits(rem):
+            if not fam[i] & ~banned:
+                return
+            if pick_sz is None or fam_size[i] < pick_sz:
+                pick, pick_sz = i, fam_size[i]
+        # top-k bound: the best_size - depth - 1 unbanned points that meet the
+        # most uncovered lines must together meet them all
+        counts = sorted([(c & rem).bit_count() for pb, c in point_covers
+                         if not banned & pb], reverse=True)
+        if sum(counts[:max(best_size - depth - 1, 0)]) < rem.bit_count():
+            return
+        for p in bits(fam[pick] & ~banned):
+            search(chosen | (1 << p), covered | cover_of[p], banned, depth + 1)
+            if timed_out:
+                return
+            banned |= 1 << p  # later branches must meet the line elsewhere
+
+    search(0, 0, 0, 0)
+    return HittingSetResult(best_size, best_set, not timed_out, nodes)
+
+
+@pytest.fixture(scope="module")
+def q9_frame_arcs():
     g = build_geometry(2, 9)
-    arcs = enumerate_complete_arcs(g, force=True)
+    return g, enumerate_complete_arcs(g, force=True)
+
+
+def test_frame_anchored_q9_arcs_need_eight_points(q9_frame_arcs):
+    g, arcs = q9_frame_arcs
     results = [m_of_arc(g, a) for a in arcs]
     assert len(results) == 263
     assert all(r.optimal and r.minimum_size == 8 for r in results)
     # sibling exclusion and the top-k bound keep the tree small
-    assert sum(r.explored_nodes for r in results) <= 50_000
+    assert sum(r.explored_nodes for r in results) == 18_325
+
+
+def assert_matches_reference(universe, family):
+    got = min_hitting_set(universe, family)
+    want = min_hitting_set_reference(universe, family)
+    assert (got.minimum_size, got.witness, got.explored_nodes) == \
+        (want.minimum_size, want.witness, want.explored_nodes)
+
+
+def test_hitting_set_matches_reference_on_q9_arcs(q9_frame_arcs):
+    g, arcs = q9_frame_arcs
+    for arc in arcs:
+        assert_matches_reference(g.all_points_mask & ~arc.mask,
+                                 [g.line_point_incidence[lid] for lid in arc.passant_ids])
+
+
+def test_hitting_set_matches_reference_on_short_lines():
+    # short lines sharing points make the bound and the dead-line exit bite
+    # often, so a stale count or a missed dead line changes node counts here
+    rng = random.Random(1)
+    for _ in range(1000):
+        n = rng.randint(6, 20)
+        family = [mask_of(rng.sample(range(n), rng.randint(2, max(2, n // 3))))
+                  for _ in range(rng.randint(5, 30))]
+        assert_matches_reference((1 << n) - 1, family)
 
 
 def test_mq_report_bounds():
