@@ -226,11 +226,11 @@ def compute_Mq(g: Geometry, budget: float | None = None) -> MqReport:
     """M(q): minimum of m(K) over the complete-arc classes of the plane."""
     if g.q > 8:
         raise CoveringError("M(q) computation supports q <= 8")
-    arcs = enumerate_complete_arcs(g)
-    classes = classify_up_to_collineation(g, [a.mask for a in arcs])
+    records = {a.mask: a for a in enumerate_complete_arcs(g)}
+    classes = classify_up_to_collineation(g, list(records))
     per_class = []
     for cls in classes:
-        rep = secant_profile(g, cls[0])
+        rep = records[cls[0]]
         cover = m_of_arc(g, rep, budget)
         per_class.append(ClassCover(rep, len(cls), cover))
     best = min(per_class, key=lambda c: c.cover.minimum_size)

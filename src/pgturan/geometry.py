@@ -66,13 +66,15 @@ class Geometry:
 
 
 def _normalize(f: FieldTable, vec) -> tuple[int, ...]:
-    lead = next((c for c in vec if c != 0), 0)
-    if lead == 0:
+    for lead in vec:
+        if lead:
+            break
+    else:
         raise GeometryError("zero vector has no projective point")
     if lead == 1:
         return tuple(vec)
-    s = f.inv(lead)
-    return tuple(f.mul(s, c) for c in vec)
+    s = f.mul_table[f.inv_table[lead]]
+    return tuple([s[c] for c in vec])
 
 
 def _enumerate_points(f: FieldTable, m: int) -> list[tuple[int, ...]]:

@@ -4,6 +4,13 @@ Point sets are integer bitmasks over the point ids of a fixed Geometry.
 Complete arcs are enumerated frame-anchored: the projective group is
 transitive on ordered frames, so every complete arc of size >= 4 is
 equivalent to one containing {(1,0,0),(0,1,0),(0,0,1),(1,1,1)}.
+
+The two exact searches carry line masks down their recursion instead of
+rescanning every line at each node: the arc enumeration carries the lines
+its arc meets, so each result is complete by construction and its secant
+profile is read off the unmet lines; the blocking-set search carries the
+uncovered lines and the lines through banned points.  Collineations work
+on 3x3 matrices through the field's add, mul, neg and inv tables.
 """
 
 from __future__ import annotations
@@ -71,54 +78,74 @@ def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
     """Exact minimum blocking set via iterative-deepening branch and bound.
 
     For each size target the search branches on the most deficient uncovered
-    line (fewest remaining candidate points), bans tried points on the other
-    branches, and prunes with ceil(uncovered / lines through a point); a
-    partial set dies as soon as it fully contains a line.  Returns
-    (witness, exact, nodes); the witness is None when no blocking set exists
-    or the deadline passed.
+    line (fewest remaining candidate points, lowest line id on ties), bans
+    tried points on the other branches, and prunes with
+    ceil(uncovered / lines through a point); a partial set dies as soon as
+    it fully contains a line.  Returns (witness, exact, nodes); the witness
+    is None when no blocking set exists or the deadline passed.
+
+    Each node carries two line masks: `uncov`, the lines with no chosen
+    point, and `touched`, the lines through some banned point.  Only a line
+    through the newest point can have become full, and only a line of
+    `uncov & touched` can be dead or have fewer than q+1 candidates; when
+    there is none, the lowest uncovered line is the branch line.  The bound
+    is tested before the dead-line scan: both only cut the node, so the
+    order changes no count.
     """
+    q = g.q
     lines = g.line_point_incidence
+    incidence = g.point_line_incidence
     # lines through a point, the most uncovered lines a new point can meet
-    per_point = g.point_line_incidence[0].bit_count()
+    per_point = incidence[0].bit_count()
     nodes = 0
     timed_out = False
 
-    def search(chosen: int, banned: int, target: int) -> int | None:
+    def search(chosen: int, banned: int, uncov: int, touched: int, recheck: int,
+               size: int, target: int) -> int | None:
+        # recheck: the lines through the newest point that held a chosen point
         nonlocal nodes, timed_out
         nodes += 1
         if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
             timed_out = True
             return None
-        size = chosen.bit_count()
+        # the two scans walk their masks inline; bits() costs about 15% here
+        if size > q:   # a full line needs q+1 chosen points
+            while recheck:
+                low = recheck & -recheck
+                if lines[low.bit_length() - 1] & ~chosen == 0:
+                    return None  # contains a full line
+                recheck ^= low
+        if uncov == 0:
+            return chosen
+        if size + (uncov.bit_count() + per_point - 1) // per_point > target:
+            return None
         picked = None
         picked_opts = None
-        uncovered = 0
-        for lm in lines:
-            inter = chosen & lm
-            if inter == lm:
-                return None  # contains a full line
-            if inter:
-                continue
-            uncovered += 1
-            opts = lm & ~banned
+        scan = uncov & touched
+        while scan:
+            low = scan & -scan
+            opts = lines[low.bit_length() - 1] & ~banned
             if opts == 0:
-                return None
+                return None  # a dead line: no candidate point is left on it
             c = opts.bit_count()
             if picked_opts is None or c < picked_opts:
                 picked, picked_opts = opts, c
+            scan ^= low
         if picked is None:
-            return chosen
-        if size + (uncovered + per_point - 1) // per_point > target:
-            return None
+            picked = lines[(uncov & -uncov).bit_length() - 1]
         for p in bits(picked):
-            got = search(chosen | (1 << p), banned, target)
+            inc = incidence[p]
+            got = search(chosen | (1 << p), banned, uncov & ~inc, touched,
+                         inc & ~uncov, size + 1, target)
             if got is not None or timed_out:
                 return got
             banned |= 1 << p  # later branches must meet the line elsewhere
+            touched |= inc
         return None
 
+    all_lines = (1 << g.n_lines) - 1
     for target in range(1, g.n_points + 1):
-        got = search(0, 0, target)
+        got = search(0, 0, all_lines, 0, 0, 0, target)
         if got is not None or timed_out:
             return got, not timed_out, nodes
     return None, True, nodes
@@ -206,61 +233,87 @@ def frame_point_ids(g: Geometry) -> tuple[int, ...]:
 
 
 def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]:
-    """All complete arcs containing the standard frame, deduplicated as sets.
+    """All complete arcs containing the standard frame, sorted by mask.
 
     Every complete arc of size >= 4 is collineation-equivalent to at least one
     of the outputs.  Guarded to q <= ARC_ENUMERATION_MAX_Q; pass force=True to
     override.
+
+    The search adds points in increasing id order, each off every bisecant
+    of the arc so far, so each result is an arc, found once.  A leaf is a
+    state with no point off the bisecant cover, which is completeness.  The
+    search carries the mask of lines met by the arc: at a leaf the unmet
+    lines are the passants, and a k-arc has k(q+2-k) tangents and
+    k(k-1)/2 secants, so each record comes without a pass over the lines.
     """
     if g.m != 2:
         raise StructureError("complete-arc enumeration needs m=2")
     if g.q > ARC_ENUMERATION_MAX_Q and not force:
         raise StructureError(f"q={g.q} beyond enumeration budget (force=True to override)")
+    q = g.q
     frame = frame_point_ids(g)
     frame_mask = mask_of(frame)
     all_mask = g.all_points_mask
+    all_lines = (1 << g.n_lines) - 1
     lines = g.line_point_incidence
+    incidence = g.point_line_incidence
     pair_line = g.pair_line
 
-    cover = _bisecant_cover(g, frame_mask)
-    found: set[int] = set()
+    met = 0
+    for p in frame:
+        met |= incidence[p]
+    found: list[ArcRecord] = []
 
-    def extend(arc_mask: int, arc_ids: tuple[int, ...], cover: int, min_next: int):
-        cand = all_mask & ~cover & ~arc_mask
+    def extend(arc_mask: int, arc_ids: tuple[int, ...], cover: int, met: int,
+               min_next: int):
+        cand = all_mask & ~cover   # the bisecant cover holds the arc itself
         if cand == 0:
-            found.add(arc_mask)
+            k = len(arc_ids)
+            unmet = all_lines & ~met
+            found.append(ArcRecord(
+                points=tuple(bits(arc_mask)),
+                mask=arc_mask,
+                is_complete=True,
+                secant_profile={0: unmet.bit_count(), 1: k * (q + 2 - k),
+                                2: k * (k - 1) // 2},
+                passant_ids=tuple(bits(unmet)),
+            ))
             return
-        for p in bits(cand):
-            if p < min_next:
-                continue
+        for p in bits(cand & -(1 << min_next)):
             add = 0
             for a in arc_ids:
                 add |= lines[pair_line[p][a]]
-            extend(arc_mask | (1 << p), arc_ids + (p,), cover | add, p + 1)
+            extend(arc_mask | (1 << p), arc_ids + (p,), cover | add,
+                   met | incidence[p], p + 1)
 
-    extend(frame_mask, frame, cover, 0)
-    return [secant_profile(g, m) for m in sorted(found)]
+    extend(frame_mask, frame, _bisecant_cover(g, frame_mask), met, 0)
+    found.sort(key=lambda a: a.mask)
+    return found
 
 
 # --- collineations -----------------------------------------------------------
 
 def _matvec(f, mat, vec):
-    return tuple(f.dot(row, vec) for row in mat)
+    """mat @ vec for a 3x3 matrix over the field, by table lookups."""
+    add, mul = f.add_table, f.mul_table
+    mx, my, mz = mul[vec[0]], mul[vec[1]], mul[vec[2]]
+    return tuple(add[add[mx[a]][my[b]]][mz[c]] for a, b, c in mat)
 
 
 def _mat_inverse(f, mat):
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     (a, b, c), (d, e, g_), (h, i, j) = mat
+
     def m2(x, y, z, w):  # det of 2x2
-        return f.sub(f.mul(x, w), f.mul(y, z))
-    ca, cb, cc = m2(e, g_, i, j), f.neg(m2(d, g_, h, j)), m2(d, e, h, i)
-    det = f.add(f.add(f.mul(a, ca), f.mul(b, cb)), f.mul(c, cc))
+        return add[mul[x][w]][neg[mul[y][z]]]
+    ca, cb, cc = m2(e, g_, i, j), neg[m2(d, g_, h, j)], m2(d, e, h, i)
+    det = add[add[mul[a][ca]][mul[b][cb]]][mul[c][cc]]
     if det == 0:
         raise StructureError("singular matrix")
-    s = f.inv(det)
-    cd, ce, cf_ = f.neg(m2(b, c, i, j)), m2(a, c, h, j), f.neg(m2(a, b, h, i))
-    cg, ch, ci = m2(b, c, e, g_), f.neg(m2(a, c, d, g_)), m2(a, b, d, e)
-    adj = ((ca, cd, cg), (cb, ce, ch), (cc, cf_, ci))
-    return tuple(tuple(f.mul(s, x) for x in row) for row in adj)
+    s = mul[f.inv_table[det]]
+    cd, ce, cf_ = neg[m2(b, c, i, j)], m2(a, c, h, j), neg[m2(a, b, h, i)]
+    cg, ch, ci = m2(b, c, e, g_), neg[m2(a, c, d, g_)], m2(a, b, d, e)
+    return ((s[ca], s[cd], s[cg]), (s[cb], s[ce], s[ch]), (s[cc], s[cf_], s[ci]))
 
 
 def projectivity_from_frame(g: Geometry, pts: tuple[int, int, int, int]):
@@ -270,13 +323,13 @@ def projectivity_from_frame(g: Geometry, pts: tuple[int, int, int, int]):
     """
     f = g.field
     p1, p2, p3, p4 = (g.points[i].coords for i in pts)
-    base = (p1, p2, p3)
-    inv = _mat_inverse(f, tuple(zip(*base)))  # columns p1,p2,p3
-    lam = _matvec(f, inv, p4)
-    if 0 in lam:
+    inv = _mat_inverse(f, tuple(zip(p1, p2, p3)))  # columns p1,p2,p3
+    l1, l2, l3 = _matvec(f, inv, p4)
+    if not (l1 and l2 and l3):
         raise StructureError("points not in general position")
-    cols = tuple(tuple(f.mul(lam[j], base[j][i]) for j in range(3)) for i in range(3))
-    return cols  # 3x3 matrix as rows
+    mul = f.mul_table
+    m1, m2, m3 = mul[l1], mul[l2], mul[l3]
+    return tuple((m1[x], m2[y], m3[z]) for x, y, z in zip(p1, p2, p3))  # rows
 
 
 def apply_projectivity(g: Geometry, mat, mask: int) -> int:
@@ -314,14 +367,16 @@ def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
     if len(ids_a) < 4:
         raise StructureError("classification needs arcs of size >= 4")
     f = g.field
+    frame_mask = mask_of(frame_point_ids(g))
     # each field-automorphism image of mask_a, moved so its first four points
-    # are the frame
+    # are the frame; a projectivity from the frame sends those four into its
+    # quad, so only the other points need testing
     rests = []
     for aut in range(f.k):
         m_aut = apply_field_automorphism(g, aut, mask_a)
         back = collineation_to_frame(g, tuple(bits(m_aut))[:4])
-        rests.append([g.points[p].coords
-                      for p in bits(apply_projectivity(g, back, m_aut))])
+        moved = apply_projectivity(g, back, m_aut)
+        rests.append([g.points[p].coords for p in bits(moved & ~frame_mask)])
     for quad in itertools.permutations(ids_b, 4):
         try:
             fwd = projectivity_from_frame(g, quad)

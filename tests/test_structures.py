@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,9 @@ from pgturan.structures import (
     max_concurrency,
     projectivity_from_frame,
     secant_profile,
+    _mat_inverse,
     _matvec,
+    _min_blocking_branch_and_bound,
 )
 
 
@@ -87,8 +91,71 @@ def test_blocking_search_node_counts():
     # the bound divides the uncovered lines by the lines through a point
     # (q+1 in a plane, 7 in PG(3,2)); dividing by q+1 in PG(3,2) over-prunes
     # to 459 nodes, which no reachable instance turns into a wrong answer
-    for m, q, nodes in ((2, 2, 187), (2, 3, 490), (3, 2, 1040)):
+    for m, q, nodes in ((2, 2, 187), (2, 3, 490), (3, 2, 1040), (2, 4, 3804),
+                        (2, 5, 148_865)):
         assert max_blocking_set_size(build_geometry(m, q)).explored_nodes == nodes
+
+
+def min_blocking_reference(g, deadline):
+    """The blocking-set branch and bound that rescans every line at each
+    node, kept as the oracle for the incremental line masks: same branch
+    line, bans, bound and deadline, so it must agree on witness, exactness
+    and node count."""
+    lines = g.line_point_incidence
+    per_point = g.point_line_incidence[0].bit_count()
+    nodes = 0
+    timed_out = False
+
+    def search(chosen, banned, target):
+        nonlocal nodes, timed_out
+        nodes += 1
+        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+            timed_out = True
+            return None
+        size = chosen.bit_count()
+        picked = None
+        picked_opts = None
+        uncovered = 0
+        for lm in lines:
+            inter = chosen & lm
+            if inter == lm:
+                return None  # contains a full line
+            if inter:
+                continue
+            uncovered += 1
+            opts = lm & ~banned
+            if opts == 0:
+                return None
+            c = opts.bit_count()
+            if picked_opts is None or c < picked_opts:
+                picked, picked_opts = opts, c
+        if picked is None:
+            return chosen
+        if size + (uncovered + per_point - 1) // per_point > target:
+            return None
+        for p in bits(picked):
+            got = search(chosen | (1 << p), banned, target)
+            if got is not None or timed_out:
+                return got
+            banned |= 1 << p
+        return None
+
+    for target in range(1, g.n_points + 1):
+        got = search(0, 0, target)
+        if got is not None or timed_out:
+            return got, not timed_out, nodes
+    return None, True, nodes
+
+
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_blocking_search_matches_rescanning_reference(m, q):
+    g = build_geometry(m, q)
+    assert _min_blocking_branch_and_bound(g, None) == min_blocking_reference(g, None)
+
+
+def test_blocking_search_zero_budget_times_out():
+    res = max_blocking_set_size(build_geometry(2, 5), budget=0)
+    assert (res.size, res.witness, res.exact, res.explored_nodes) == (None, 0, False, 4096)
 
 
 def test_max_blocking_sizes():
@@ -218,6 +285,20 @@ def test_passant_counts_and_concurrency(q, big, passants, cap):
         assert max_concurrency(g, a.passant_ids) <= cap
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
+def test_enumeration_records_match_secant_profile(q):
+    """Each record is built from the search's line masks; secant_profile
+    recounts it from the point set, completeness check included."""
+    g = build_geometry(2, q)
+    arcs = enumerate_complete_arcs(g, force=True)
+    for a in arcs:
+        ref = secant_profile(g, a.mask)
+        assert a == ref
+        assert list(a.secant_profile) == list(ref.secant_profile)
+    if q == 11:
+        assert Counter(a.size for a in arcs) == {7: 40, 8: 5103, 9: 3024, 10: 84, 12: 9}
+
+
 def test_enumeration_budget_guard():
     g = build_geometry(2, 9)
     with pytest.raises(StructureError):
@@ -253,23 +334,75 @@ def test_named_arcs_represent_the_two_classes():
     assert len(hits1) == 1 and len(hits2) == 1 and hits1 != hits2
 
 
+# The collineation helpers written with FieldTable methods, kept as the
+# oracle for the table-driven ones in the library.
+
+def _ref_matvec(f, mat, vec):
+    return tuple(f.dot(row, vec) for row in mat)
+
+
+def _ref_mat_inverse(f, mat):
+    (a, b, c), (d, e, g_), (h, i, j) = mat
+
+    def m2(x, y, z, w):  # det of 2x2
+        return f.sub(f.mul(x, w), f.mul(y, z))
+    ca, cb, cc = m2(e, g_, i, j), f.neg(m2(d, g_, h, j)), m2(d, e, h, i)
+    det = f.add(f.add(f.mul(a, ca), f.mul(b, cb)), f.mul(c, cc))
+    if det == 0:
+        raise StructureError("singular matrix")
+    s = f.inv(det)
+    cd, ce, cf_ = f.neg(m2(b, c, i, j)), m2(a, c, h, j), f.neg(m2(a, b, h, i))
+    cg, ch, ci = m2(b, c, e, g_), f.neg(m2(a, c, d, g_)), m2(a, b, d, e)
+    adj = ((ca, cd, cg), (cb, ce, ch), (cc, cf_, ci))
+    return tuple(tuple(f.mul(s, x) for x in row) for row in adj)
+
+
+def _ref_projectivity_from_frame(g, pts):
+    f = g.field
+    p1, p2, p3, p4 = (g.points[i].coords for i in pts)
+    base = (p1, p2, p3)
+    inv = _ref_mat_inverse(f, tuple(zip(*base)))  # columns p1,p2,p3
+    lam = _ref_matvec(f, inv, p4)
+    if 0 in lam:
+        raise StructureError("points not in general position")
+    return tuple(tuple(f.mul(lam[j], base[j][i]) for j in range(3)) for i in range(3))
+
+
+def _ref_point_id(g, vec):
+    f = g.field
+    lead = next(c for c in vec if c != 0)
+    return g.point_index[tuple(f.mul(f.inv(lead), c) for c in vec)]
+
+
+def _ref_apply_projectivity(g, mat, mask):
+    out = 0
+    for p in bits(mask):
+        out |= 1 << _ref_point_id(g, _ref_matvec(g.field, mat, g.points[p].coords))
+    return out
+
+
+def _ref_collineation_to_frame(g, pts):
+    return _ref_mat_inverse(g.field, _ref_projectivity_from_frame(g, pts))
+
+
 def _arcs_equivalent_reference(g, mask_a, mask_b):
     """arcs_equivalent with the field automorphisms in the outer loop: every
     ordered quad of mask_b is tried against one automorphism image of
-    mask_a before the next image is built."""
+    mask_a before the next image is built.  It uses only the reference
+    collineation helpers above."""
     if mask_a.bit_count() != mask_b.bit_count():
         return False
     f = g.field
     for aut in range(f.k):
         m_aut = apply_field_automorphism(g, aut, mask_a)
-        back = collineation_to_frame(g, tuple(bits(m_aut))[:4])
-        rest = [g.points[p].coords for p in bits(apply_projectivity(g, back, m_aut))]
+        back = _ref_collineation_to_frame(g, tuple(bits(m_aut))[:4])
+        rest = [g.points[p].coords for p in bits(_ref_apply_projectivity(g, back, m_aut))]
         for quad in itertools.permutations(tuple(bits(mask_b)), 4):
             try:
-                fwd = projectivity_from_frame(g, quad)
+                fwd = _ref_projectivity_from_frame(g, quad)
             except StructureError:
                 continue
-            if all(mask_b >> g.point_id(_matvec(f, fwd, v)) & 1 for v in rest):
+            if all(mask_b >> _ref_point_id(g, _ref_matvec(f, fwd, v)) & 1 for v in rest):
                 return True
     return False
 
@@ -286,10 +419,10 @@ def _classify_reference(g, masks):
     return classes
 
 
-@pytest.mark.parametrize("q", [5, 7, 8])
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
 def test_classification_matches_automorphism_outer_reference(q):
     g = build_geometry(2, q)
-    masks = [a.mask for a in enumerate_complete_arcs(g)]
+    masks = [a.mask for a in enumerate_complete_arcs(g, force=True)]
     assert classify_up_to_collineation(g, masks) == _classify_reference(g, masks)
 
 
@@ -321,6 +454,49 @@ def test_equivalence_matches_reference_on_seeded_pairs(q):
     got = [arcs_equivalent(g, a, b) for a, b in pairs]
     assert got == [_arcs_equivalent_reference(g, a, b) for a, b in pairs]
     assert True in got and False in got
+
+
+@pytest.mark.parametrize("q", [4, 7, 8, 9])
+def test_table_driven_collineations_match_field_method_copies(q):
+    rng = random.Random(1000 + q)
+    g = build_geometry(2, q)
+    f = g.field
+    mats = [tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
+            for _ in range(200)]
+    mats.append(((1, 2 % q, 3 % q), (1, 2 % q, 3 % q), (0, 1, 1)))  # repeated row
+    singular = 0
+    for mat in mats:
+        try:
+            want = _ref_mat_inverse(f, mat)
+        except StructureError:
+            singular += 1
+            with pytest.raises(StructureError):
+                _mat_inverse(f, mat)
+            continue
+        assert _mat_inverse(f, mat) == want
+        vec = tuple(rng.randrange(q) for _ in range(3))
+        assert _matvec(f, mat, vec) == _ref_matvec(f, mat, vec)
+
+    line = tuple(bits(g.line_point_incidence[0]))
+    quads = [tuple(rng.sample(range(g.n_points), 4)) for _ in range(200)]
+    quads.append(line[:3] + (next(p for p in range(g.n_points) if p not in line),))
+    degenerate = 0
+    for quad in quads:
+        try:
+            want = _ref_projectivity_from_frame(g, quad)
+        except StructureError:
+            degenerate += 1
+            with pytest.raises(StructureError):
+                projectivity_from_frame(g, quad)
+            with pytest.raises(StructureError):
+                collineation_to_frame(g, quad)
+            continue
+        got = projectivity_from_frame(g, quad)
+        assert got == want
+        assert collineation_to_frame(g, quad) == _ref_collineation_to_frame(g, quad)
+        mask = rng.getrandbits(g.n_points)
+        assert apply_projectivity(g, got, mask) == _ref_apply_projectivity(g, want, mask)
+    assert 0 < singular < len(mats) and 0 < degenerate < len(quads)
 
 
 def test_classification_rejects_small_arcs():
