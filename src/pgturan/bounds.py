@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
+from .construction import RATE_NAMES, density_monomials, part_pattern
 from .refdata import TABLE1_M2, TABLE2_M3, ARC_BOUND_OPTIMA
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -171,15 +172,11 @@ def value_string(x: Fraction) -> str:
     return format(d.normalize(ctx), "f")
 
 
-def _sum_q_powers(m: int, q: int) -> int:
-    return sum(q ** i for i in range(1, m + 1))
-
-
 def theorem1_lower(m: int, q: int) -> Fraction:
     """General lower bound: prod_{i=1..q} (1 - i / sum_{j=1..m} q^j)."""
     if m < 2 or q < 2:
         raise BoundsError("need m >= 2 and q >= 2")
-    s = _sum_q_powers(m, q)
+    s = sum(q ** i for i in range(1, m + 1))
     v = Fraction(1)
     for i in range(1, q + 1):
         v *= 1 - Fraction(i, s)
@@ -227,54 +224,30 @@ def corollary1_t(m: int, q: int) -> int:
     return s * q + (r if r * r == n else r + 1)
 
 
-def theorem2_polynomial(q: int, t: int) -> BoundPolynomial:
-    """Density polynomial of the blocking-set partition, in (alpha, beta).
+def _partition_polynomial(q: int, scheme: str, parts: int, constraint,
+                          provenance) -> BoundPolynomial:
+    """The limit edge density of a `part_pattern` partition, in its rates."""
+    caps, var = part_pattern(q, scheme, parts)
+    names = RATE_NAMES[scheme]
+    return BoundPolynomial(variables=names,
+                           monomials=density_monomials(caps, var, len(names), q + 1),
+                           constraint=constraint, provenance=provenance)
 
-    (q+1)! * sum_{i=1..q} C(t, q+1-i) / i! * beta^i alpha^(q+1-i),
-    with beta = 1 - t*alpha on the feasible segment.
-    """
+
+def theorem2_polynomial(q: int, t: int) -> BoundPolynomial:
+    """Blocking-set partition density in (alpha, beta), on beta = 1 - t*alpha."""
     if t < 1:
         raise BoundsError("need t >= 1")
-    fact = math.factorial(q + 1)
-    mono: dict[tuple[int, ...], Fraction] = {}
-    for i in range(1, q + 1):
-        c = math.comb(t, q + 1 - i)
-        if c == 0:
-            continue
-        mono[(q + 1 - i, i)] = Fraction(fact * c, math.factorial(i))
-    return BoundPolynomial(
-        variables=("alpha", "beta"),
-        monomials=mono,
-        constraint=("segment", t),
-        provenance={"family": "blocking-partition", "q": q, "t": t},
-    )
+    return _partition_polynomial(q, "t2", t, ("segment", t),
+                                 {"family": "blocking-partition", "q": q, "t": t})
 
 
 def theorem3_polynomial(q: int, M: int) -> BoundPolynomial:
-    """Density polynomial of the arc partition, in (alpha, beta, gamma).
-
-    (q+1)! * sum_i sum_j C(M-1, q+1-i-j) / (i! j!) alpha^i beta^j gamma^(q+1-i-j)
-    over 1 <= i <= q, max(0, q+2-M-i) <= j <= min(2, q+1-i), with the simplex
-    constraint alpha + beta + (M-1) gamma = 1.
-    """
+    """Arc partition density in (alpha, beta, gamma), on alpha + beta + (M-1) gamma = 1."""
     if M < 1:
         raise BoundsError("need M >= 1")
-    fact = math.factorial(q + 1)
-    mono: dict[tuple[int, ...], Fraction] = {}
-    for i in range(1, q + 1):
-        for j in range(max(0, q + 2 - M - i), min(2, q + 1 - i) + 1):
-            k = q + 1 - i - j
-            c = math.comb(M - 1, k)
-            if c == 0:
-                continue
-            mono[(i, j, k)] = Fraction(fact * c,
-                                       math.factorial(i) * math.factorial(j))
-    return BoundPolynomial(
-        variables=("alpha", "beta", "gamma"),
-        monomials=mono,
-        constraint=("simplex", M),
-        provenance={"family": "arc-partition", "q": q, "M": M},
-    )
+    return _partition_polynomial(q, "t3", M, ("simplex", M),
+                                 {"family": "arc-partition", "q": q, "M": M})
 
 
 def _result(poly: BoundPolynomial, point, argmax: dict[str, float]) -> OptResult:

@@ -122,18 +122,14 @@ def _cmd_mq(args) -> int:
 
 def _cmd_freeness(args) -> int:
     rates = tuple(float(x) for x in args.rates.split(","))
-    if args.scheme == "t2":
-        if args.k is None:
-            print("freeness --scheme t2 needs --k", file=sys.stderr)
-            return USAGE_ERROR
-        spec = make_partition(args.n, args.q, args.m, "t2", rates, k=args.k)
-    else:
-        if args.M is None:
-            print("freeness --scheme t3 needs --M", file=sys.stderr)
-            return USAGE_ERROR
-        spec = make_partition(args.n, args.q, 2, "t3", rates, M=args.M)
+    needed = "k" if args.scheme == "t2" else "M"
+    if getattr(args, needed) is None:
+        print(f"freeness --scheme {args.scheme} needs --{needed}", file=sys.stderr)
+        return USAGE_ERROR
+    m = 2 if args.scheme == "t3" else args.m
+    spec = make_partition(args.n, args.q, m, args.scheme, rates, k=args.k, M=args.M)
     h = build_hypergraph(spec)
-    pattern = build_geometry(2 if args.scheme == "t3" else args.m, args.q)
+    pattern = build_geometry(m, args.q)
     res = contains_subgeometry(h, pattern, budget=args.budget)
     out = {
         "scheme": args.scheme, "q": args.q, "n": args.n,

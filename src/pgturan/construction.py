@@ -2,11 +2,11 @@
 
 A partition is its part sizes and caps (`PartitionSpec`): a (q+1)-set is an
 edge iff it meets X, part 0, in at least 1 vertex and every part in at most
-its cap.  Only `make_partition` tells the paper's two constructions apart:
-`t2` splits the vertices into X plus (sum_{i=1..m} q^i - k) parts of cap 1,
-`t3` (planes only) into X, a Y part of cap 2 and M(q)-1 parts of cap 1; X
-has cap q in both.  Edge counting is exact combinatorics over the part
-sizes; PG-freeness is audited by explicit embedding search.
+its cap.  Only `part_pattern` tells the paper's two constructions apart: it
+gives each part's cap and rate variable, which `make_partition` rounds into
+part sizes and `density_monomials` expands into the limit edge density.
+Edge counting is exact combinatorics over the part sizes; PG-freeness is
+audited by explicit embedding search.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import Geometry
 
@@ -69,43 +70,56 @@ def _largest_remainder(n: int, targets: list[float]) -> list[int]:
     return floors
 
 
+RATE_NAMES = {"t2": ("alpha", "beta"), "t3": ("alpha", "beta", "gamma")}
+
+
+def part_pattern(q: int, scheme: str, parts: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each part's cap and rate variable (an index into `RATE_NAMES[scheme]`), X first.
+
+    t2 (parts = t): X of cap q at rate beta, then t parts of cap 1 at alpha.
+    t3 (parts = M): X of cap q at alpha, Y of cap 2 at beta, M-1 of cap 1 at gamma.
+    """
+    if scheme == "t2":
+        return (q,) + (1,) * parts, (1,) + (0,) * parts
+    if scheme == "t3":
+        return (q, 2) + (1,) * (parts - 1), (0, 1) + (2,) * (parts - 1)
+    raise ConstructionError(f"unknown scheme {scheme!r}")
+
+
 def make_partition(n: int, q: int, m: int, scheme: str, rates,
                    k: int | None = None, M: int | None = None) -> PartitionSpec:
     """Integer part sizes from rates by largest-remainder rounding.
 
-    t2 rates: (alpha,) or (alpha, beta) with beta = 1 - (sum q^i - k) * alpha.
-    t3 rates: (alpha, beta, gamma) with alpha + beta + (M-1) * gamma = 1.
-    Every part size lands within 1 of its real target and the sizes sum to n.
+    t2 has t = sum_{i=1..m} q^i - k parts of cap 1, t3 has M-1.  `rates`
+    holds one rate per name in `RATE_NAMES[scheme]`, nonnegative and summing
+    to 1 over the parts; t2 may leave out beta, X's rate, which is then what
+    the other parts leave.  Part sizes land within 1 of their targets and sum to n.
     """
+    parts = M                                       # t3; t2 counts its parts below
     if scheme == "t2":
         if k is None:
             raise ConstructionError("t2 needs k, the maximum blocking-set size")
-        s = sum(q ** i for i in range(1, m + 1))
-        t = s - k
-        if t < 0:
+        parts = sum(q ** i for i in range(1, m + 1)) - k
+        if parts < 0:
             raise ConstructionError("k exceeds the part budget")
-        alpha = float(rates[0])
-        beta = 1.0 - t * alpha if len(rates) < 2 else float(rates[1])
-        if alpha < -1e-12 or beta < -1e-12:
-            raise ConstructionError("rates must be nonnegative")
-        if abs(beta - (1.0 - t * alpha)) > 1e-9:
-            raise ConstructionError("rates violate beta = 1 - t*alpha")
-        targets = [beta * n] + [alpha * n] * t
-        caps = (q,) + (1,) * t
     elif scheme == "t3":
-        if M is None:
-            raise ConstructionError("t3 needs M, the minimum passant-cover value")
+        if M is None or M < 1:
+            raise ConstructionError("t3 needs M >= 1, the minimum passant-cover value")
         if m != 2:
             raise ConstructionError("t3 is a plane construction (m=2)")
-        alpha, beta, gamma = (float(r) for r in rates)
-        if min(alpha, beta, gamma) < -1e-12:
-            raise ConstructionError("rates must be nonnegative")
-        if abs(alpha + beta + (M - 1) * gamma - 1.0) > 1e-9:
-            raise ConstructionError("rates violate alpha + beta + (M-1)*gamma = 1")
-        targets = [alpha * n, beta * n] + [gamma * n] * (M - 1)
-        caps = (q, 2) + (1,) * (M - 1)
-    else:
-        raise ConstructionError(f"unknown scheme {scheme!r}")
+    caps, var = part_pattern(q, scheme, parts)      # raises on an unknown scheme
+    names = RATE_NAMES[scheme]
+    if len(rates) == len(names) - 1 == var[0]:         # X's rate, the last, left out
+        rates = (*rates, 1.0 - sum(float(x) * var.count(v) for v, x in enumerate(rates)))
+    if len(rates) != len(names):
+        raise ConstructionError(f"{scheme} takes {len(names)} rates ({', '.join(names)}), "
+                                f"not {len(rates)}")
+    rates = [float(r) for r in rates]
+    if min(rates) < -1e-12:
+        raise ConstructionError("rates must be nonnegative")
+    if abs(sum(x * var.count(v) for v, x in enumerate(rates)) - 1.0) > 1e-9:
+        raise ConstructionError("rates summed over the parts must make 1")
+    targets = [rates[v] * n for v in var]
     return PartitionSpec(n=n, q=q, sizes=tuple(_largest_remainder(n, targets)),
                          caps=caps, targets=tuple(targets))
 
@@ -149,6 +163,34 @@ def _edge_count(sizes, caps, r: int) -> int:
         coef = [sum(coef[k - c] * math.comb(size, c) for c in range(low, min(cap, k) + 1))
                 for k in range(r + 1)]
     return coef[r]
+
+
+def _placements(cap: int, count: int, r: int) -> list[int]:
+    """Ways to place k = 0..r labelled vertices in `count` parts of cap `cap`:
+    k! [y^k] (sum_{c=0..cap} y^c / c!)^count, by J.C.P. Miller's power recurrence."""
+    ways = [1]
+    for k in range(1, r + 1):
+        ways.append(sum(((count + 1) * j - k) * math.comb(k, j) * ways[k - j]
+                        for j in range(1, min(k, cap) + 1)) // k)
+    return ways
+
+
+def density_monomials(caps, var, n_vars: int, r: int) -> dict[tuple[int, ...], Fraction]:
+    """The limit edge density of parts with caps `caps` and rate variables
+    `var`: r! [x^r] of the product over parts of sum_c (rho x)^c / c!, c over
+    0..cap (1..cap for X), counting placements of r labelled vertices run by
+    run of equal parts.  The parts of one rate variable must form one run.
+    Keys (n_vars exponents) ascend with the exponents read in order of first
+    appearance, the order the float evaluators sum in.
+    """
+    terms = [((0,) * n_vars, 0, 1)]      # exponents, their sum d, placements of d vertices
+    lows = (1,) + (0,) * (len(caps) - 1)            # X takes at least one vertex
+    for (cap, v, low), run in itertools.groupby(zip(caps, var, lows)):
+        ways = _placements(cap, len(list(run)), r)
+        terms = [(expo[:v] + (expo[v] + e,) + expo[v + 1:], d + e, c * math.comb(r - d, e) * w)
+                 for expo, d, c in terms for e, w in enumerate(ways[:r + 1 - d])
+                 if w and e >= low]
+    return {expo: Fraction(c) for expo, d, c in terms if d == r}
 
 
 def count_edges_exact(spec: PartitionSpec) -> int:

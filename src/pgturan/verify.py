@@ -4,9 +4,9 @@ Claims are small closures over the library, identified by structural ids
 ("table1.q3.cor1", "lemma8.mincover.K1", "M.q7", ...).  Search- and
 optimizer-backed claims respect a shared time budget and report "timeout"
 instead of failing when it runs out.  Results that several claims read (the
-comparison tables, the arc-partition optima, M(q), the appendix sub-claims)
-are computed once per `build_claim_specs` call, by whichever claim reads them
-first.  Output ordering and formatting are deterministic.
+comparison tables, arc-partition optima, complete arcs, M(q), appendix
+sub-claims) are computed once per `build_claim_specs` call, by whichever
+claim reads them first.  Output ordering and formatting are deterministic.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _corrupted_copy(g):
                    line_point_incidence=(lines[0] ^ 1, *lines[1:]))
 
 
-def _classification_claims(mq) -> list[ClaimSpec]:
+def _classification_claims(arcs, mq) -> list[ClaimSpec]:
     data = {
         3: ("lemma3", {4}, 4, 3, 2),
         4: ("lemma4", {6}, 6, 6, 2),
@@ -95,24 +95,21 @@ def _classification_claims(mq) -> list[ClaimSpec]:
     claims = []
     for q, (tag, sizes, big, passants, cap) in data.items():
         def sizes_run(q=q, sizes=sizes):
-            arcs = enumerate_complete_arcs(build_geometry(2, q))
-            got = {a.size for a in arcs}
+            got = {a.size for a in arcs(q)}
             return str(sorted(got)), got == sizes
         claims.append(ClaimSpec(f"{tag}.sizes.q{q}", tag, "reference",
                                 str(sorted(sizes)), True, sizes_run))
 
         def passant_run(q=q, big=big, passants=passants):
-            arcs = enumerate_complete_arcs(build_geometry(2, q))
-            got = {a.secant_profile[0] for a in arcs if a.size == big}
+            got = {a.secant_profile[0] for a in arcs(q) if a.size == big}
             return str(sorted(got)), got == {passants}
         claims.append(ClaimSpec(f"{tag}.passants.q{q}", tag, "reference",
                                 str(passants), True, passant_run))
 
         def conc_run(q=q, big=big, cap=cap):
             g = build_geometry(2, q)
-            arcs = enumerate_complete_arcs(g)
             worst = max(max_concurrency(g, a.passant_ids)
-                        for a in arcs if a.size == big)
+                        for a in arcs(q) if a.size == big)
             return str(worst), worst <= cap
         claims.append(ClaimSpec(f"{tag}.concurrency.q{q}", tag, "reference",
                                 f"<= {cap}", True, conc_run))
@@ -284,6 +281,10 @@ def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
         return {r["q"]: r for r in bounds.reproduce_arc_optima()}
 
     @functools.cache
+    def arcs(q):
+        return enumerate_complete_arcs(build_geometry(2, q))
+
+    @functools.cache
     def mq(q):
         return compute_Mq(build_geometry(2, q))
 
@@ -297,7 +298,7 @@ def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
     claims += _poly_claims()
     claims += _optima_claims(optima)
     claims += _table_claims(tables)
-    claims += _classification_claims(mq)
+    claims += _classification_claims(arcs, mq)
     claims += _blocking_claims()
     claims += _mq_claims(mq)
     claims += _appendix_claims(appendix)

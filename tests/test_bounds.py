@@ -116,6 +116,55 @@ def test_blocking_polynomial_expansion_agrees_with_factored_form():
                 assert exact_exp == poly.evaluate((ar, 1 - t * ar))
 
 
+def _theorem2_reference(q, t):
+    """The hand-coded Theorem 2 expansion the library used before deriving it
+    from the part caps: (q+1)! * sum_{i=1..q} C(t, q+1-i) / i! * beta^i alpha^(q+1-i)."""
+    fact = math.factorial(q + 1)
+    mono = {}
+    for i in range(1, q + 1):
+        c = math.comb(t, q + 1 - i)
+        if c == 0:
+            continue
+        mono[(q + 1 - i, i)] = Fraction(fact * c, math.factorial(i))
+    return mono
+
+
+def _theorem3_reference(q, M):
+    """The hand-coded Theorem 3 expansion the library used before deriving it
+    from the part caps: (q+1)! * sum_i sum_j C(M-1, q+1-i-j) / (i! j!)
+    alpha^i beta^j gamma^(q+1-i-j) over 1 <= i <= q,
+    max(0, q+2-M-i) <= j <= min(2, q+1-i)."""
+    fact = math.factorial(q + 1)
+    mono = {}
+    for i in range(1, q + 1):
+        for j in range(max(0, q + 2 - M - i), min(2, q + 1 - i) + 1):
+            k = q + 1 - i - j
+            c = math.comb(M - 1, k)
+            if c == 0:
+                continue
+            mono[(i, j, k)] = Fraction(fact * c,
+                                       math.factorial(i) * math.factorial(j))
+    return mono
+
+
+TABLE2_T = (381, 468, 668, 670, 780, 902, 1032)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29])
+def test_polynomials_derived_from_caps_match_hand_coded_references(q):
+    # same monomials, same coefficients, same insertion order (the float
+    # evaluators sum in it), over t = 1..29, the table2 t values and M = 1..q+2
+    for t in [*range(1, 30), *TABLE2_T]:
+        poly = theorem2_polynomial(q, t)
+        assert list(poly.monomials.items()) == list(_theorem2_reference(q, t).items()), t
+        assert poly.variables == ("alpha", "beta") and poly.constraint == ("segment", t)
+    for M in range(1, q + 3):
+        poly = theorem3_polynomial(q, M)
+        assert list(poly.monomials.items()) == list(_theorem3_reference(q, M).items()), M
+        assert poly.variables == ("alpha", "beta", "gamma")
+        assert poly.constraint == ("simplex", M)
+
+
 def test_polynomials_homogeneous_positive():
     for q, (M, _, _) in refdata.ARC_BOUND_OPTIMA.items():
         poly = theorem3_polynomial(q, M)

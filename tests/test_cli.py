@@ -126,8 +126,19 @@ def test_freeness_accepts_a_rate_just_below_zero(capsys):
 def test_freeness_usage_error(capsys):
     code = main(["freeness", "--scheme", "t2", "--q", "2", "--n", "10",
                  "--rates", "0.05"])
-    capsys.readouterr()
+    assert capsys.readouterr().err == "freeness --scheme t2 needs --k\n"
     assert code == 2
+    code = main(["freeness", "--scheme", "t3", "--q", "2", "--n", "10",
+                 "--rates", "0.5,0.4,0.1"])
+    assert capsys.readouterr().err == "freeness --scheme t3 needs --M\n"
+    assert code == 2
+
+
+def test_freeness_names_the_rate_count(capsys):
+    code = main(["freeness", "--scheme", "t3", "--q", "2", "--n", "10", "--M", "2",
+                 "--rates", "0.5,0.5"])
+    assert capsys.readouterr().err == "error: t3 takes 3 rates (alpha, beta, gamma), not 2\n"
+    assert code == 1
 
 
 def test_verify_appendices_exit_zero(capsys):
@@ -199,13 +210,16 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     counted(verify, "compute_Mq", key=lambda g, *rest: g.q)
     counted(verify, "verify_appendix", key=lambda g, which, *rest: which)
     counted(covering, "m_of_arc", key=lambda g, arc, *rest: (g.q, arc.mask))
+    counted(verify, "enumerate_complete_arcs", key=lambda g, *rest: g.q)
     claims = verify.run_all(budget=None)
     assert len(claims) == 75
     assert [c.claim_id for c in claims if c.status != "pass"] == ["table2.q23"]
     mq_keys = {("compute_Mq", q) for q in refdata.MQ_VALUES}
     appendix_keys = {("verify_appendix", "A"), ("verify_appendix", "B")}
+    arcs_keys = {("enumerate_complete_arcs", q) for q in (3, 4, 5, 7, 8)}
     assert {key for key in calls if key[0] != "m_of_arc"} == (
-        {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys | appendix_keys)
+        {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys | appendix_keys
+        | arcs_keys)
     for data in (refdata.APPENDIX_A, refdata.APPENDIX_B):
         g = build_geometry(2, data["q"])
         for case in data["cases"].values():

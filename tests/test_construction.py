@@ -4,12 +4,14 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from pgturan.construction import (
     ConstructionError,
     Hypergraph,
+    _edge_count,
     _pattern_order,
     build_hypergraph,
     complete_hypergraph,
@@ -17,7 +19,9 @@ from pgturan.construction import (
     count_edges_exact,
     displayed_lower_bound,
     make_partition,
+    part_pattern,
 )
+from pgturan.bounds import theorem2_polynomial, theorem3_polynomial
 from pgturan.geometry import build_geometry
 
 
@@ -73,6 +77,17 @@ def test_partition_rejects_bad_rates():
         make_partition(10, 3, 2, "t2", (0.02, 0.5), k=7)           # beta mismatch
     with pytest.raises(ConstructionError):
         make_partition(10, 3, 2, "t2", (0.05,))                    # k missing
+    with pytest.raises(ConstructionError, match="t2 takes 2 rates"):
+        make_partition(14, 2, 2, "t2", (1 / 12, 0.5, 0.7, "junk"), k=0)   # extra rates
+    with pytest.raises(ConstructionError, match="t2 takes 2 rates"):
+        make_partition(14, 2, 2, "t2", (), k=0)                    # no rates
+    for rates in ((0.5, 0.5), (0.5, 0.3, 0.1, 0.1)):
+        with pytest.raises(ConstructionError, match="t3 takes 3 rates"):
+            make_partition(10, 3, 2, "t3", rates, M=2)
+    with pytest.raises(ConstructionError, match="unknown scheme"):
+        make_partition(10, 3, 2, "t4", (0.5,))
+    with pytest.raises(ConstructionError, match="t3 needs M >= 1"):
+        make_partition(10, 3, 2, "t3", (0.5, 0.5, 0.3), M=0)       # M below 1
 
 
 def test_displayed_bound_floors_a_negative_target_at_zero():
@@ -82,6 +97,32 @@ def test_displayed_bound_floors_a_negative_target_at_zero():
     assert spec.sizes == (10, 0, 0)
     assert count_edges_exact(spec) == 0
     assert displayed_lower_bound(spec) == 0
+
+
+def test_edge_count_differences_equal_the_density_polynomial():
+    # Part sizes rho * D * k with rational rates rho of common denominator D
+    # make the edge count a polynomial of degree r = q+1 in k whose leading
+    # coefficient is D^r P(rho) / r!, so its r-th difference is D^r P(rho):
+    # the hypergraph and the bound polynomial meet exactly, from any k.
+    rng = random.Random(5)
+    for case in range(30):
+        q, D = rng.choice([2, 3, 4, 5]), rng.randint(5, 40)
+        if case % 2:
+            t = rng.randint(1, 9)
+            poly, (caps, var) = theorem2_polynomial(q, t), part_pattern(q, "t2", t)
+            alpha = rng.randint(0, D // t)
+            nums = (alpha, D - t * alpha)
+        else:
+            M = rng.randint(1, q + 2)
+            poly, (caps, var) = theorem3_polynomial(q, M), part_pattern(q, "t3", M)
+            gamma = rng.randint(0, D // (M - 1)) if M > 1 else 0
+            alpha = rng.randint(0, D - (M - 1) * gamma)
+            nums = (alpha, D - (M - 1) * gamma - alpha, gamma)
+        r, k0 = q + 1, rng.randint(0, 6)
+        counts = [_edge_count([nums[v] * k for v in var], caps, r)
+                  for k in range(k0, k0 + r + 1)]
+        difference = sum((-1) ** (r - i) * math.comb(r, i) * c for i, c in enumerate(counts))
+        assert difference == D ** r * poly.evaluate([Fraction(x, D) for x in nums]), (q, nums)
 
 
 def test_partition_sizes_sum_randomized():
