@@ -2,6 +2,9 @@
 table reproduction, and the verification harness.
 
 Exit codes: 0 success / all claims pass, 1 any claim failed, 2 usage error.
+
+Each command imports the layers it runs when it starts, so a command never
+pays to load the claim catalog or the optimizer it does not use.
 """
 
 from __future__ import annotations
@@ -9,24 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import __version__, bounds, verify
-from .covering import compute_Mq, verify_appendix
-from .construction import (
-    build_hypergraph,
-    contains_subgeometry,
-    count_edges_exact,
-    displayed_lower_bound,
-    make_partition,
-)
-from .geometry import build_geometry, format_coords
-from .structures import (
-    bits,
-    classify_up_to_collineation,
-    enumerate_complete_arcs,
-    max_blocking_set_size,
-)
+from . import __version__
 
 USAGE_ERROR = 2
 
@@ -42,6 +29,7 @@ def _emit(obj, fmt: str) -> None:
 
 
 def _cmd_geometry(args) -> int:
+    from .geometry import build_geometry, format_coords
     g = build_geometry(args.m, args.q)
     if args.list == "lines":
         rows = []
@@ -62,6 +50,8 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_arcs(args) -> int:
+    from .geometry import build_geometry, format_coords
+    from .structures import bits, classify_up_to_collineation, enumerate_complete_arcs
     g = build_geometry(2, args.q)
     arcs = enumerate_complete_arcs(g)
     out = {"q": args.q, "complete_arcs": [
@@ -83,6 +73,8 @@ def _cmd_arcs(args) -> int:
 
 
 def _cmd_blocking(args) -> int:
+    from .geometry import build_geometry, format_coords
+    from .structures import bits, max_blocking_set_size
     g = build_geometry(args.m, args.q)
     res = max_blocking_set_size(g, budget=args.budget)
     out = {"m": args.m, "q": args.q, "exact": res.exact,
@@ -101,6 +93,8 @@ def _cmd_blocking(args) -> int:
 
 
 def _cmd_mq(args) -> int:
+    from .covering import compute_Mq
+    from .geometry import build_geometry, format_coords
     g = build_geometry(2, args.q)
     rep = compute_Mq(g)
     out = {
@@ -126,6 +120,9 @@ def _cmd_freeness(args) -> int:
     if getattr(args, needed) is None:
         print(f"freeness --scheme {args.scheme} needs --{needed}", file=sys.stderr)
         return USAGE_ERROR
+    from .construction import (build_hypergraph, contains_subgeometry,
+                               count_edges_exact, displayed_lower_bound, make_partition)
+    from .geometry import build_geometry
     m = 2 if args.scheme == "t3" else args.m
     spec = make_partition(args.n, args.q, m, args.scheme, rates, k=args.k, M=args.M)
     h = build_hypergraph(spec)
@@ -146,11 +143,15 @@ def _cmd_freeness(args) -> int:
     return 0
 
 
-def _frac(x: Fraction) -> dict:
+def _frac(x) -> dict:
+    """An exact Fraction as its text and its float."""
     return {"fraction": f"{x.numerator}/{x.denominator}", "decimal": float(x)}
 
 
 def _cmd_bounds(args) -> int:
+    from .geometry import factor_prime_power
+    factor_prime_power(args.q)  # no plane PG(m, q) exists otherwise
+    from . import bounds
     if args.theorem == "1":
         out = {"m": args.m, "q": args.q,
                "lower": _frac(bounds.theorem1_lower(args.m, args.q)),
@@ -169,8 +170,11 @@ def _cmd_bounds(args) -> int:
                "optimum": {"value": res.value, "alpha": res.argmax["alpha"],
                            "value_50digit": res.value_str}}
     else:
-        M = args.M_value if args.M_value is not None else \
-            compute_Mq(build_geometry(2, args.q)).M_q
+        M = args.M_value
+        if M is None:
+            from .covering import compute_Mq
+            from .geometry import build_geometry
+            M = compute_Mq(build_geometry(2, args.q)).M_q
         poly = bounds.theorem3_polynomial(args.q, M)
         res = bounds.optimize_bound(poly)
         out = {"q": args.q, "M": M,
@@ -183,6 +187,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from . import bounds
     if args.which in ("1", "2"):
         name = f"table{args.which}"
         rows = bounds.reproduce_tables((name,))[name]
@@ -216,13 +221,19 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.target in ("appendix-a", "appendix-b"):
+    if args.target != "all" and args.corrupt_field:
+        print(f"verify {args.target} does not take --corrupt-field", file=sys.stderr)
+        return USAGE_ERROR
+    from .covering import render_claims, verify_appendix
+    if args.target == "all":
+        from .verify import run_all
+        claims = run_all(budget=args.budget, corrupt_field=args.corrupt_field)
+    else:
+        from .geometry import build_geometry
         which = args.target[-1].upper()
         g = build_geometry(2, 7 if which == "A" else 8)
-        claims = verify_appendix(g, which)
-    else:
-        claims = verify.run_all(budget=args.budget, corrupt_field=args.corrupt_field)
-    print(verify.render_claims(claims, fmt=args.format, timings=args.timings))
+        claims = verify_appendix(g, which, budget=args.budget)
+    print(render_claims(claims, fmt=args.format, timings=args.timings))
     return 1 if any(c.status == "fail" for c in claims) else 0
 
 
@@ -285,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include per-claim runtimes (breaks byte determinism)")
     p.add_argument("--corrupt-field", action="store_true",
-                   help="negative control: corrupt the field tables first")
+                   help="negative control: corrupt the field tables first (verify all only)")
     p.set_defaults(fn=_cmd_verify)
     return ap
 

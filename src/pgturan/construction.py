@@ -168,6 +168,8 @@ def _edge_count(sizes, caps, r: int) -> int:
 def _placements(cap: int, count: int, r: int) -> list[int]:
     """Ways to place k = 0..r labelled vertices in `count` parts of cap `cap`:
     k! [y^k] (sum_{c=0..cap} y^c / c!)^count, by J.C.P. Miller's power recurrence."""
+    if count == 1:  # one part holds k vertices in one way, up to its cap
+        return [1] * (min(cap, r) + 1) + [0] * (r - cap)
     ways = [1]
     for k in range(1, r + 1):
         ways.append(sum(((count + 1) * j - k) * math.comb(k, j) * ways[k - j]
@@ -182,15 +184,23 @@ def density_monomials(caps, var, n_vars: int, r: int) -> dict[tuple[int, ...], F
     run of equal parts.  The parts of one rate variable must form one run.
     Keys (n_vars exponents) ascend with the exponents read in order of first
     appearance, the order the float evaluators sum in.
+
+    A run places at least enough vertices that the later runs, filled to
+    their caps, can bring the degree to r; terms that cannot reach r are
+    never formed.
     """
-    terms = [((0,) * n_vars, 0, 1)]      # exponents, their sum d, placements of d vertices
     lows = (1,) + (0,) * (len(caps) - 1)            # X takes at least one vertex
-    for (cap, v, low), run in itertools.groupby(zip(caps, var, lows)):
-        ways = _placements(cap, len(list(run)), r)
+    runs = [(cap, v, low, len(list(run)))
+            for (cap, v, low), run in itertools.groupby(zip(caps, var, lows))]
+    rest = sum(cap * count for cap, _, _, count in runs)  # what the runs left can hold
+    terms = [((0,) * n_vars, 0, 1)]      # exponents, their sum d, placements of d vertices
+    for cap, v, low, count in runs:
+        ways = _placements(cap, count, r)
+        rest -= cap * count
         terms = [(expo[:v] + (expo[v] + e,) + expo[v + 1:], d + e, c * math.comb(r - d, e) * w)
-                 for expo, d, c in terms for e, w in enumerate(ways[:r + 1 - d])
-                 if w and e >= low]
-    return {expo: Fraction(c) for expo, d, c in terms if d == r}
+                 for expo, d, c in terms for e in range(max(low, r - d - rest), r - d + 1)
+                 if (w := ways[e])]
+    return {expo: Fraction(c) for expo, d, c in terms}
 
 
 def count_edges_exact(spec: PartitionSpec) -> int:

@@ -12,6 +12,7 @@ the lines its point newly covers, and a banned point counts 0.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from dataclasses import dataclass
 
@@ -222,11 +223,18 @@ def m_of_arc(g: Geometry, arc: ArcRecord, budget: float | None = None) -> Hittin
     return min_hitting_set(universe, family, budget)
 
 
-def compute_Mq(g: Geometry, budget: float | None = None) -> MqReport:
-    """M(q): minimum of m(K) over the complete-arc classes of the plane."""
+def compute_Mq(g: Geometry, budget: float | None = None,
+               arcs: list[ArcRecord] | None = None) -> MqReport:
+    """M(q): minimum of m(K) over the complete-arc classes of the plane.
+
+    `arcs` is the plane's `enumerate_complete_arcs(g)`, when the caller
+    already holds it; otherwise it is enumerated here.
+    """
     if g.q > 8:
         raise CoveringError("M(q) computation supports q <= 8")
-    records = {a.mask: a for a in enumerate_complete_arcs(g)}
+    if arcs is None:
+        arcs = enumerate_complete_arcs(g)
+    records = {a.mask: a for a in arcs}
     classes = classify_up_to_collineation(g, list(records))
     per_class = []
     for cls in classes:
@@ -284,6 +292,26 @@ class Claim:
     @property
     def ok(self) -> bool:
         return self.status == "pass"
+
+
+def render_claims(claims: list[Claim], fmt: str = "json",
+                  timings: bool = False) -> str:
+    if fmt == "json":
+        rows = []
+        for c in claims:
+            d = {"claim": c.claim_id, "anchor": c.anchor, "source": c.source,
+                 "expected": c.expected, "computed": c.computed, "status": c.status}
+            if timings:
+                d["seconds"] = round(c.seconds, 3)
+            rows.append(d)
+        return json.dumps({"claims": rows,
+                           "failures": sum(c.status == "fail" for c in claims),
+                           "timeouts": sum(c.status == "timeout" for c in claims)},
+                          indent=2, ensure_ascii=False)
+    lines = ["| claim | expected | computed | status |", "|---|---|---|---|"]
+    for c in claims:
+        lines.append(f"| {c.claim_id} | {c.expected} | {c.computed} | {c.status} |")
+    return "\n".join(lines)
 
 
 def _claim(claims, cid, anchor, source, expected, computed, ok):

@@ -114,7 +114,7 @@ def build_geometry(m: int, q: int) -> Geometry:
         raise GeometryError("projective dimension must be at least 2")
     if q > MAX_GEOMETRY_Q:
         raise GeometryError(f"geometry construction supports q <= {MAX_GEOMETRY_Q}")
-    p, k = _factor_prime_power(q)
+    p, k = factor_prime_power(q)
     f = make_field(p, k)
 
     coord_list = _enumerate_points(f, m)
@@ -165,7 +165,7 @@ def build_geometry(m: int, q: int) -> Geometry:
     )
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
+def factor_prime_power(q: int) -> tuple[int, int]:
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

@@ -12,13 +12,13 @@ claim reads them first.  Output ordering and formatting are deterministic.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bounds, refdata
-from .covering import compute_Mq, verify_appendix, Claim
+# render_claims lives beside Claim; it stays importable from here
+from .covering import Claim, compute_Mq, render_claims, verify_appendix
 from .construction import (
     build_hypergraph,
     complete_hypergraph,
@@ -286,7 +286,7 @@ def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
 
     @functools.cache
     def mq(q):
-        return compute_Mq(build_geometry(2, q))
+        return compute_Mq(build_geometry(2, q), arcs=arcs(q))
 
     @functools.cache
     def appendix(which):
@@ -330,23 +330,3 @@ def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[
                      time.perf_counter() - t0)
 
     return sorted(map(execute, specs), key=lambda c: c.claim_id)
-
-
-def render_claims(claims: list[Claim], fmt: str = "json",
-                  timings: bool = False) -> str:
-    if fmt == "json":
-        rows = []
-        for c in claims:
-            d = {"claim": c.claim_id, "anchor": c.anchor, "source": c.source,
-                 "expected": c.expected, "computed": c.computed, "status": c.status}
-            if timings:
-                d["seconds"] = round(c.seconds, 3)
-            rows.append(d)
-        return json.dumps({"claims": rows,
-                           "failures": sum(c.status == "fail" for c in claims),
-                           "timeouts": sum(c.status == "timeout" for c in claims)},
-                          indent=2, ensure_ascii=False)
-    lines = ["| claim | expected | computed | status |", "|---|---|---|---|"]
-    for c in claims:
-        lines.append(f"| {c.claim_id} | {c.expected} | {c.computed} | {c.status} |")
-    return "\n".join(lines)

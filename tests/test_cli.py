@@ -88,6 +88,20 @@ def test_bounds_commands(capsys):
     assert abs(data["optimum"]["value"] - 0.7364719055) < 1e-8
     assert data["monomials"]["alpha^1*beta^2*gamma^1"] == "12"
 
+    code, searched = run(capsys, "bounds", "--theorem", "3", "--q", "3")
+    assert code == 0
+    assert searched == out          # M(3) = 2 is found by the cover search
+
+
+def test_bounds_rejects_an_order_that_is_not_a_prime_power(capsys):
+    for argv in (["--theorem", "1"], ["--theorem", "2"], ["--theorem", "2", "--t", "3"],
+                 ["--theorem", "3"], ["--theorem", "3", "--M-value", "2"]):
+        code = main(["bounds", "--q", "6", *argv])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err == "error: 6 is not a prime power\n"
+
 
 def test_tables_section4(capsys):
     code, out = run(capsys, "tables", "--which", "section4", "--format", "json")
@@ -156,6 +170,28 @@ def test_verify_appendix_output_shape(capsys):
                for c in data["claims"])
 
 
+def test_verify_appendix_passes_the_budget(monkeypatch, capsys):
+    seen = []
+    original = covering.verify_appendix
+
+    def recorded(g, which, budget=None):
+        seen.append((which, budget))
+        return original(g, which, budget)
+    monkeypatch.setattr(covering, "verify_appendix", recorded)
+    assert run(capsys, "verify", "appendix-b", "--budget", "7.5")[0] == 0
+    assert run(capsys, "verify", "appendix-a")[0] == 0
+    assert seen == [("B", 7.5), ("A", 1800.0)]
+
+
+def test_verify_appendix_rejects_corrupt_field(capsys):
+    for target in ("appendix-a", "appendix-b"):
+        code = main(["verify", target, "--corrupt-field"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"verify {target} does not take --corrupt-field\n"
+
+
 def test_verify_zero_budget_times_out_searches(capsys):
     code, out = run(capsys, "verify", "all", "--budget", "0")
     data = json.loads(out)
@@ -211,6 +247,8 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     counted(verify, "verify_appendix", key=lambda g, which, *rest: which)
     counted(covering, "m_of_arc", key=lambda g, arc, *rest: (g.q, arc.mask))
     counted(verify, "enumerate_complete_arcs", key=lambda g, *rest: g.q)
+    # compute_Mq reuses the memo's arcs instead of enumerating them again
+    counted(covering, "enumerate_complete_arcs", key=lambda g, *rest: ("covering", g.q))
     claims = verify.run_all(budget=None)
     assert len(claims) == 75
     assert [c.claim_id for c in claims if c.status != "pass"] == ["table2.q23"]
