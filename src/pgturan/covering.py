@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from .geometry import Geometry, point_of, line_of, format_coords
 from .structures import (
+    ARC_ENUMERATION_MAX_Q,
     ArcRecord,
     bits,
     mask_of,
     secant_profile,
-    is_complete_arc,
     enumerate_complete_arcs,
     classify_up_to_collineation,
 )
@@ -142,7 +142,8 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
                count: list[int], dead: int):
         nonlocal best_size, best_set, nodes, timed_out
         nodes += 1
-        if timed_out or (deadline is not None and nodes % 4096 == 0
+        # the deadline is read at the root and then every 4096 nodes
+        if timed_out or (deadline is not None and (nodes == 1 or nodes % 4096 == 0)
                          and time.monotonic() > deadline):
             timed_out = True
             return
@@ -223,15 +224,21 @@ def m_of_arc(g: Geometry, arc: ArcRecord, budget: float | None = None) -> Hittin
     return min_hitting_set(universe, family, budget)
 
 
+def _time_left(deadline: float | None) -> float | None:
+    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
+
 def compute_Mq(g: Geometry, budget: float | None = None,
                arcs: list[ArcRecord] | None = None) -> MqReport:
     """M(q): minimum of m(K) over the complete-arc classes of the plane.
 
     `arcs` is the plane's `enumerate_complete_arcs(g)`, when the caller
-    already holds it; otherwise it is enumerated here.
+    already holds it; otherwise it is enumerated here.  `budget` bounds the
+    whole call: each cover search gets the time left of it.
     """
-    if g.q > 8:
-        raise CoveringError("M(q) computation supports q <= 8")
+    if g.q > ARC_ENUMERATION_MAX_Q:
+        raise CoveringError(f"M(q) computation supports q <= {ARC_ENUMERATION_MAX_Q}")
+    deadline = time.monotonic() + budget if budget is not None else None
     if arcs is None:
         arcs = enumerate_complete_arcs(g)
     records = {a.mask: a for a in arcs}
@@ -239,7 +246,7 @@ def compute_Mq(g: Geometry, budget: float | None = None,
     per_class = []
     for cls in classes:
         rep = records[cls[0]]
-        cover = m_of_arc(g, rep, budget)
+        cover = m_of_arc(g, rep, _time_left(deadline))
         per_class.append(ClassCover(rep, len(cls), cover))
     best = min(per_class, key=lambda c: c.cover.minimum_size)
     worst = max(per_class, key=lambda c: c.cover.minimum_size)
@@ -324,6 +331,7 @@ def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> lis
 
     `which` is "A" (plane of order 7) or "B" (order 8).  Returns one Claim per
     checked statement; the caller decides how to render or aggregate them.
+    `budget` bounds the whole call: each cover search gets the time left of it.
     """
     which = which.upper()
     if which == "A":
@@ -335,14 +343,14 @@ def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> lis
     if g.q != data["q"]:
         raise CoveringError(f"appendix {which} needs q={data['q']}")
 
+    deadline = time.monotonic() + budget if budget is not None else None
     tag = f"appendix{which}"
     claims: list[Claim] = []
     for name, case in data["cases"].items():
         pre = f"{tag}.{name}"
-        arc_mask = mask_of(point_of(g, s) for s in case["arc"])
+        arc = secant_profile(g, mask_of(point_of(g, s) for s in case["arc"]))
         _claim(claims, f"{pre}.complete", tag, "reference",
-               True, is_complete_arc(g, arc_mask), is_complete_arc(g, arc_mask))
-        arc = secant_profile(g, arc_mask)
+               True, arc.is_complete, arc.is_complete)
         _claim(claims, f"{pre}.passants", tag, "reference",
                data["passant_count"], arc.secant_profile[0],
                arc.secant_profile[0] == data["passant_count"])
@@ -399,7 +407,7 @@ def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> lis
                    f"<= {cap}", worst, worst <= cap)
 
         t0 = time.perf_counter()
-        cover = m_of_arc(g, arc, budget)
+        cover = m_of_arc(g, arc, _time_left(deadline))
         c = Claim(
             f"{pre}.mincover", tag, "reference",
             f">= {data['min_cover_at_least']}",

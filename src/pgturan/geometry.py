@@ -208,7 +208,9 @@ def parse_coords(g: Geometry, text: str) -> tuple[str, int]:
         raise GeometryError(f"malformed coordinates {text!r}")
     open_, close = t[0], t[-1]
     body = t[1:-1]
-    parts = [s for s in body.split(",") if s.strip() != ""]
+    parts = body.split(",")
+    if any(not s.strip() for s in parts):
+        raise GeometryError(f"empty coordinate in {text!r}")
     if len(parts) != g.m + 1:
         raise GeometryError(f"expected {g.m + 1} coordinates in {text!r}")
     try:

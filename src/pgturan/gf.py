@@ -6,6 +6,11 @@ coefficients of the residue polynomial (lowest degree first).  Index 0 is
 the additive zero and index 1 the multiplicative one.  All arithmetic is a
 table lookup, so the geometry layer can do millions of operations without
 branching.
+
+The tables are built on the indices themselves, with no polynomial type:
+addition digit by digit, multiplication row by row from a times-x table.
+A monic modulus is irreducible exactly when its quotient ring is a field,
+so the one test for a modulus is that every nonzero row holds a 1.
 """
 
 from __future__ import annotations
@@ -16,13 +21,11 @@ from dataclasses import dataclass, field
 MAX_ORDER = 256
 MAX_DEGREE = 4
 
-# Fixed default moduli (coefficients lowest-first, monic) so that printed
-# coordinates are stable across runs.  GF(8) uses x^3+x^2+1, whose root w
-# satisfies w^3 = w^2 + 1 and generates the multiplicative group.
+# Moduli fixed ahead of the search (coefficients lowest-first, monic).  The
+# search picks x^2+x+1 for GF(4) and x^2+1 for GF(9), but x^3+x+1 for GF(8),
+# whose printed coordinates use x^3+x^2+1: its root w has w^3 = w^2 + 1.
 DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),          # x^2+x+1
     (2, 3): (1, 0, 1, 1),       # x^3+x^2+1
-    (3, 2): (1, 0, 1),          # x^2+1
 }
 
 
@@ -39,69 +42,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 1
     return True
-
-
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    # reduce a modulo monic m, coefficients mod p
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    k = len(mod) - 1
-    if k < 1 or mod[-1] == 0:
-        return False
-    # trial division by all monic polynomials of degree 1..k//2
-    for d in range(1, k // 2 + 1):
-        for idx in range(p ** d):
-            div = []
-            t = idx
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            if not any(_poly_mod(mod, tuple(div), p)):
-                return False
-    # degree >= 2 must at least have no roots (covered by d=1 above when k>=2)
-    return True
-
-
-def _index_to_poly(i: int, p: int, k: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(k):
-        digits.append(i % p)
-        i //= p
-    return _poly_trim(digits)
-
-
-def _poly_to_index(c, p: int) -> int:
-    out = 0
-    for d in reversed(c):
-        out = out * p + d
-    return out
 
 
 @dataclass(frozen=True)
@@ -158,27 +98,51 @@ class FieldTable:
             acc = self.add_table[acc][self.mul_table[a][b]]
         return acc
 
-def _default_or_search_modulus(p: int, k: int) -> tuple[int, ...]:
-    if (p, k) in DEFAULT_MODULI:
-        return DEFAULT_MODULI[(p, k)]
-    # deterministic search: smallest coefficient vector (c0..c_{k-1}), monic
-    for idx in range(p ** k):
-        cand = list(_index_to_poly(idx, p, k))
-        cand += [0] * (k - len(cand))
-        cand.append(1)
-        cand_t = tuple(cand)
-        if _is_irreducible(cand_t, p):
-            return cand_t
-    raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+def _field_rows(p: int, k: int, mod: tuple[int, ...]):
+    """Addition and multiplication rows of GF(p)[x]/(mod) over element indices.
+
+    Addition is digit-wise mod p.  Multiplication is built row by row by
+    linearity: with d the place of a's lowest nonzero digit,
+    a*b = (a - p^d)*b + x^d*b, and the x^d*b rows come from a times-x table
+    read off the monic modulus.  Returns None at the first nonzero row
+    without a 1: that element is a zero divisor, so mod is reducible.
+    """
+    q = p ** k
+    add = [list(range(q))]   # a + b = (a//p + b//p) one place up, low digits mod p
+    for a in range(1, q):
+        hi, lo = add[a // p], a % p
+        add.append([hi[b // p] * p + (lo + b) % p for b in range(q)])
+    # x * b shifts b's digits up one place; the top digit t comes back as
+    # t * x^k = t * -(m_0 + m_1 x + ... + m_{k-1} x^{k-1})
+    top = p ** (k - 1)
+    wrap = [sum((-t * c) % p * p ** i for i, c in enumerate(mod[:k])) for t in range(p)]
+    times_x = [add[b % top * p][wrap[b // top]] for b in range(q)]
+    shifts = [list(range(q))]                 # shifts[d][b] = x^d * b
+    for _ in range(1, k):
+        shifts.append([times_x[b] for b in shifts[-1]])
+    mul = [[0] * q]
+    for a in range(1, q):
+        d, pd = 0, 1
+        while a // pd % p == 0:
+            d, pd = d + 1, pd * p
+        row = [add[u][v] for u, v in zip(mul[a - pd], shifts[d])]
+        if 1 not in row:
+            return None
+        mul.append(row)
+    return add, mul
 
 
 def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
     """Build the arithmetic tables for GF(p^k).
 
     `modulus` is a coefficient vector (lowest degree first) of a monic
-    degree-k polynomial irreducible over GF(p); when omitted, the fixed
-    defaults are used for GF(4), GF(8), GF(9) and a deterministic search
-    elsewhere.
+    degree-k polynomial irreducible over GF(p); it is ignored when k = 1.
+    When omitted, GF(8) uses its fixed default and every other order takes
+    the first monic polynomial, in order of its coefficient vector
+    (c_0, ..., c_{k-1}) read as a base-p index, whose quotient ring is a
+    field.  That is the irreducibility test, for a given modulus too: the
+    tables are accepted exactly when every nonzero element has an inverse.
     """
     if not _is_prime(p):
         raise FieldError(f"characteristic {p} is not prime")
@@ -188,67 +152,32 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds {MAX_ORDER}")
 
-    if k == 1:
-        mod = (0, 1)  # x, unused
-    elif modulus is None:
-        mod = _default_or_search_modulus(p, k)
-    else:
+    if k > 1 and modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise FieldError("modulus must be monic of degree k")
-        if not _is_irreducible(mod, p):
-            raise FieldError("modulus is reducible over GF(p)")
-
-    polys = [_index_to_poly(i, p, k) for i in range(q)]
-    add_table = [[0] * q for _ in range(q)]
-    mul_table = [[0] * q for _ in range(q)]
-    for a in range(q):
-        pa = polys[a]
-        for b in range(a, q):
-            pb = polys[b]
-            s = [0] * max(len(pa), len(pb), 1)
-            for i, c in enumerate(pa):
-                s[i] = c
-            for i, c in enumerate(pb):
-                s[i] = (s[i] + c) % p
-            si = _poly_to_index(_poly_trim(s), p)
-            add_table[a][b] = si
-            add_table[b][a] = si
-            m = _poly_mod(_poly_mul_mod_p(pa, pb, p), mod, p) if k > 1 else ((a * b) % p,)
-            mi = _poly_to_index(_poly_trim(list(m)), p) if k > 1 else (a * b) % p
-            mul_table[a][b] = mi
-            mul_table[b][a] = mi
-
-    neg_table = [0] * q
-    for a in range(q):
-        pa = polys[a]
-        neg_table[a] = _poly_to_index(tuple((-c) % p for c in pa), p)
-
-    inv_table = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul_table[a][b] == 1:
-                inv_table[a] = b
-                break
-        else:
-            raise FieldError(f"element {a} has no inverse; modulus not irreducible?")
-
-    primitive = 0
-    for a in range(1, q):
-        x, order = a, 1
-        while x != 1:
-            x = mul_table[x][a]
-            order += 1
-        if order == q - 1:
-            primitive = a
+        candidates = [mod]
+    elif (p, k) in DEFAULT_MODULI:
+        candidates = [DEFAULT_MODULI[(p, k)]]
+    else:
+        candidates = (tuple(i // p ** j % p for j in range(k)) + (1,) for i in range(q))
+    for mod in candidates:
+        rows = _field_rows(p, k, mod)
+        if rows is not None:
             break
-    if primitive == 0 and q > 2:
-        raise FieldError("no primitive element found")
-    if q == 2:
-        primitive = 1
+    else:
+        raise FieldError("modulus is reducible over GF(p)")
+    add_table, mul_table = rows
+
+    for primitive in range(1, q):   # the smallest element of order q - 1
+        x, order = primitive, 1
+        while x != 1:
+            x, order = mul_table[x][primitive], order + 1
+        if order == q - 1:
+            break
 
     log_table = [0] * q
-    exp_table = [1] * max(q - 1, 1)
+    exp_table = [1] * (q - 1)
     x = 1
     for e in range(q - 1):
         exp_table[e] = x
@@ -258,7 +187,8 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
     return FieldTable(
         p=p, k=k, q=q, modulus=mod,
         add_table=tuple(map(tuple, add_table)), mul_table=tuple(map(tuple, mul_table)),
-        neg_table=tuple(neg_table), inv_table=tuple(inv_table),
+        neg_table=tuple(row.index(0) for row in add_table),
+        inv_table=(0,) + tuple(row.index(1) for row in mul_table[1:]),
         primitive=primitive, log_table=tuple(log_table), exp_table=tuple(exp_table),
     )
 

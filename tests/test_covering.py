@@ -353,5 +353,38 @@ def test_appendix_wrong_plane_rejected():
 
 
 def test_mq_budget_guard():
-    with pytest.raises(CoveringError):
+    with pytest.raises(CoveringError, match=r"M\(q\) computation supports q <= 8"):
         compute_Mq(build_geometry(2, 9))
+
+
+def test_hitting_set_zero_budget_stops_at_root():
+    family = [mask_of(pair) for pair in ((0, 1), (1, 2), (2, 3), (3, 0))]
+    res = min_hitting_set(0b1111, family, budget=0)
+    assert (res.optimal, res.explored_nodes) == (False, 1)
+    assert min_hitting_set(0b1111, family).optimal
+
+
+def test_zero_budget_bounds_the_whole_call():
+    claims = verify_appendix(build_geometry(2, 7), "A", budget=0)
+    status = {c.claim_id: c.status for c in claims}
+    assert [cid for cid, s in status.items() if s != "pass"] == \
+        ["appendixA.K1.mincover", "appendixA.K2.mincover"]
+    assert {status[cid] for cid in status if cid.endswith("mincover")} == {"timeout"}
+    rep = compute_Mq(build_geometry(2, 8), budget=0)
+    assert rep.per_class and not any(c.cover.optimal for c in rep.per_class)
+
+
+def test_cover_searches_get_the_time_left(monkeypatch):
+    given = []
+
+    def recording(g, arc, budget=None):
+        given.append(budget)
+        return m_of_arc(g, arc, budget)
+
+    monkeypatch.setattr("pgturan.covering.m_of_arc", recording)
+    rep = compute_Mq(build_geometry(2, 8), budget=60)
+    assert len(given) == len(rep.per_class) == 2
+    assert 0 < given[1] <= given[0] < 60
+    given.clear()
+    verify_appendix(build_geometry(2, 7), "A", budget=60)
+    assert len(given) == 2 and 0 < given[1] <= given[0] < 60

@@ -167,6 +167,13 @@ def test_malformed_labels_rejected():
             parse_coords(g, bad)
 
 
+def test_empty_coordinate_rejected():
+    g = build_geometry(2, 7)
+    for bad in ("(1,,0,0)", "(,1,0,0)", "[0,,1,0]", "(1,0,)", "(1, ,0)", "(1,0,0,)"):
+        with pytest.raises(GeometryError, match="empty coordinate"):
+            parse_coords(g, bad)
+
+
 def test_unsupported_parameters_rejected():
     with pytest.raises(GeometryError):
         build_geometry(1, 3)

@@ -2,12 +2,36 @@
 independent polynomial-arithmetic oracle."""
 
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from pgturan.gf import FieldError, make_field, format_element, parse_element
 
 SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+PRIMES_TO_256 = [
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+    157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233,
+    239, 241, 251,
+]
+
+# The modulus make_field(p, k) chooses for every field of order <= 256 and
+# degree <= 4: x for prime fields, GF(8)'s fixed default, and otherwise the
+# first irreducible monic polynomial by coefficient vector (c_0, ..., c_{k-1})
+# read as a base-p index.  Coordinates print through these, so they are pinned.
+PINNED_MODULI = {
+    **{(p, 1): (0, 1) for p in PRIMES_TO_256},
+    (2, 2): (1, 1, 1),          # x^2+x+1
+    (2, 3): (1, 0, 1, 1),       # x^3+x^2+1, the fixed default
+    (2, 4): (1, 1, 0, 0, 1),    # x^4+x+1
+    (3, 2): (1, 0, 1),          # x^2+1
+    (3, 3): (1, 2, 0, 1),       # x^3+2x+1
+    (3, 4): (2, 1, 0, 0, 1),    # x^4+x+2
+    (5, 2): (2, 0, 1),          # x^2+2
+    (5, 3): (1, 1, 0, 1),       # x^3+x+1
+    (7, 2): (1, 0, 1),          # x^2+1
+    (11, 2): (1, 0, 1),         # x^2+1
+    (13, 2): (2, 0, 1),         # x^2+2
+}
 
 
 def field_of(q):
@@ -98,14 +122,53 @@ def test_frobenius_additive(q):
             assert f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
 
 
-@given(st.sampled_from(SUPPORTED), st.data())
-@settings(max_examples=60, deadline=None)
-def test_tables_match_polynomial_oracle(q, data):
-    f = field_of(q)
-    a = data.draw(st.integers(0, q - 1))
-    b = data.draw(st.integers(0, q - 1))
-    assert f.add(a, b) == oracle_add(a, b, f)
-    assert f.mul(a, b) == oracle_mul(a, b, f)
+def test_tables_match_polynomial_oracle():
+    # every field of order <= 256 and degree <= 4, every pair of elements,
+    # under the pinned modulus
+    assert set(PINNED_MODULI) == {(p, k) for p in PRIMES_TO_256
+                                  for k in range(1, 5) if p ** k <= 256}
+    for (p, k), modulus in PINNED_MODULI.items():
+        f = make_field(p, k)
+        assert (f.p, f.k, f.q, f.modulus) == (p, k, p ** k, modulus)
+        q = f.q
+        for a in range(q):
+            assert f.add_table[a] == tuple(oracle_add(a, b, f) for b in range(q))
+            assert f.mul_table[a] == tuple(oracle_mul(a, b, f) for b in range(q))
+            assert f.add(a, f.neg(a)) == 0
+            if a:
+                assert f.mul(a, f.inv(a)) == 1
+        assert len(set(f.exp_table)) == q - 1
+
+
+def reducible_moduli(p, k):
+    """Every monic degree-k product of two monic polynomials of lower degree."""
+    out = set()
+    for d in range(1, k // 2 + 1):
+        for i in range(p ** d):
+            for j in range(p ** (k - d)):
+                u, v = to_poly(i, p, d) + [1], to_poly(j, p, k - d) + [1]
+                prod = [0] * (k + 1)
+                for s, x in enumerate(u):
+                    for t, y in enumerate(v):
+                        prod[s + t] = (prod[s + t] + x * y) % p
+                out.add(tuple(prod))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                 (5, 2), (7, 2)])
+def test_modulus_accepted_exactly_when_irreducible(p, k):
+    reducible = reducible_moduli(p, k)
+    for i in range(p ** k):
+        mod = tuple(to_poly(i, p, k)) + (1,)
+        if mod in reducible:
+            with pytest.raises(FieldError):
+                make_field(p, k, modulus=mod)
+        else:
+            f = make_field(p, k, modulus=mod)
+            assert f.modulus == mod
+            assert all(f.mul(a, b) == oracle_mul(a, b, f)
+                       for a in range(f.q) for b in range(f.q))
 
 
 def test_gf8_generator_relation():
@@ -151,13 +214,25 @@ def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         make_field(2, 2, modulus=(1, 0, 1))     # x^2+1 = (x+1)^2 over GF(2)
     with pytest.raises(FieldError):
+        make_field(3, 2, modulus=(2, 0, 1))     # x^2+2 = (x+1)(x+2) over GF(3)
+    with pytest.raises(FieldError):
+        make_field(2, 4, modulus=(1, 0, 1, 0, 1))   # (x^2+x+1)^2, no root
+    with pytest.raises(FieldError):
+        make_field(3, 4, modulus=(2, 0, 0, 0, 1))   # x^4+2 = (x^2+1)(x^2+2)
+    with pytest.raises(FieldError):
         make_field(2, 3, modulus=(1, 1, 1))     # wrong degree
+    with pytest.raises(FieldError):
+        make_field(3, 2, modulus=(1, 0, 2))     # not monic
+    with pytest.raises(FieldError):
+        make_field(2, 2, modulus=(1, 1, 0))     # degree 1 padded to length 3
 
 
 def test_custom_modulus_accepted():
     f = make_field(2, 3, modulus=(1, 1, 0, 1))  # x^3+x+1, the other irreducible
     assert f.q == 8
     assert f.pow(f.primitive, 7) == 1
+    # coefficients are read mod p
+    assert make_field(3, 2, modulus=(4, 3, 1)) == make_field(3, 2)
 
 
 def test_element_formatting_roundtrip():
