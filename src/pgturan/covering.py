@@ -5,8 +5,11 @@ solved by deterministic branch and bound: branch on the candidate points of
 an uncovered line (fewest candidates first, points in ascending index order),
 ban each tried point in its later siblings, and prune with depth + k, where k
 is the fewest unbanned points whose uncovered-line counts can add up to the
-uncovered count.  Those counts are kept incrementally: each child subtracts
-the lines its point newly covers, and a banned point counts 0.
+uncovered count.  Those counts are packed one byte per candidate point in a
+single int (so at most 255 lines through a point) and kept incrementally:
+each child subtracts, in one big-int step, the lines its point newly
+covers, a banned point's byte is cleared, and the bound reads the k largest
+counts level by level with `bytes.count`.
 """
 
 from __future__ import annotations
@@ -83,13 +86,18 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     `best_size - depth - 1` unbanned points that meet the most uncovered
     lines cannot meet them all.
 
-    Each node carries one uncovered-line count per point.  The root starts
-    from each point's line count; a child copies its parent's counts and
-    subtracts, on every point, the lines its chosen point newly covers; a
-    parent zeroes the count of each point it bans.  Zeros never change a
-    top-k sum, so the bound is the sum of the k largest counts.  A node
-    likewise inherits the lines its parent's bans left without an unbanned
-    point, instead of rescanning every uncovered line.
+    Each node carries its per-point uncovered-line counts packed in one int,
+    one byte per candidate point in ascending point order, so a point may lie
+    on at most 255 family members (more raises `CoveringError`).  `ones[i]`
+    holds a 1 in the byte of each point of member i.  A child subtracts from
+    its parent's counts the `ones` of the lines its point newly covers,
+    masked by `live` (0xFF in each unbanned byte); a ban clears the point's
+    byte in `live` and in the counts, so a banned point counts 0.  The bound
+    walks the count levels from the largest root count down, counting the
+    bytes at each level, until k points are taken or their sum reaches the
+    uncovered count.  A node likewise inherits the lines its parent's bans
+    left without an unbanned point, instead of rescanning every uncovered
+    line.
 
     The witness is the greedy cover when that is optimal, and otherwise the
     first optimal cover in the unpruned branching order, so pruning never
@@ -110,15 +118,29 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         size_masks[size] = size_masks.get(size, 0) | (1 << i)
     lines_by_size = [size_masks[size] for size in sorted(size_masks)]
 
-    # point -> bitmask over family indices it covers
-    cover_of: dict[int, int] = {}
+    # the candidate points in ascending order; point p's count is the byte
+    # that one_of[p] marks
+    union = 0
+    for lm in fam:
+        union |= lm
+    candidate_points = list(bits(union))
+    n_points = len(candidate_points)
+    one_of = {p: 1 << 8 * j for j, p in enumerate(candidate_points)}
+    # point -> bitmask over family indices it covers, and family index ->
+    # a 1 in the byte of each of its points
+    cover_of = dict.fromkeys(candidate_points, 0)
+    ones = []
     for i, lm in enumerate(fam):
+        line, one = 1 << i, 0
         for p in bits(lm):
-            cover_of[p] = cover_of.get(p, 0) | (1 << i)
-    candidate_points = sorted(cover_of)
-    # uncovered-line counts live in a list indexed by slot, one per point
-    slot = {p: j for j, p in enumerate(candidate_points)}
-    line_slots = [[slot[p] for p in bits(lm)] for lm in fam]
+            cover_of[p] |= line
+            one |= one_of[p]
+        ones.append(one)
+    if max(cover.bit_count() for cover in cover_of.values()) > 255:
+        raise CoveringError("a point lies on more than 255 family members, "
+                            "the limit of the one-byte uncovered-line counts")
+    root = sum(ones)
+    levels = range(max(root.to_bytes(n_points, "little")), 0, -1)
 
     all_lines = (1 << n_fam) - 1
     nodes = 0
@@ -126,20 +148,20 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
 
     # greedy incumbent: most new lines covered, lowest point index on ties
     covered = 0
+    count = root
     greedy: list[int] = []
     while covered != all_lines:
-        best_p, best_c = None, -1
-        for p in candidate_points:
-            c = (cover_of[p] & ~covered).bit_count()
-            if c > best_c:
-                best_p, best_c = p, c
-        greedy.append(best_p)
-        covered |= cover_of[best_p]
+        b = count.to_bytes(n_points, "little")
+        p = candidate_points[b.index(max(b))]
+        greedy.append(p)
+        for i in bits(cover_of[p] & ~covered):
+            count -= ones[i]
+        covered |= cover_of[p]
     best_size = len(greedy)
     best_set = mask_of(greedy)
 
-    def search(chosen: int, covered: int, banned: int, depth: int,
-               count: list[int], dead: int):
+    def search(chosen: int, rem: int, banned: int, live: int, depth: int,
+               count: int, dead: int):
         nonlocal best_size, best_set, nodes, timed_out
         nodes += 1
         # the deadline is read at the root and then every 4096 nodes
@@ -147,18 +169,30 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
                          and time.monotonic() > deadline):
             timed_out = True
             return
-        if covered == all_lines:
+        if not rem:
             if depth < best_size:
                 best_size, best_set = depth, chosen
             return
         # an uncovered line whose points are all banned can no longer be met
-        rem = all_lines & ~covered
         if dead & rem:
             return
         # top-k bound: the best_size - depth - 1 unbanned points that meet the
         # most uncovered lines must together meet them all
-        k = max(best_size - depth - 1, 0)
-        if sum(sorted(count, reverse=True)[:k]) < rem.bit_count():
+        k = best_size - depth - 1
+        if k <= 0:
+            return
+        need = rem.bit_count()
+        b = count.to_bytes(n_points, "little")
+        for level in levels:  # the k largest counts, level by level
+            c = b.count(level)
+            if c >= k:
+                need -= k * level
+                break
+            need -= c * level
+            if need <= 0:
+                break
+            k -= c
+        if need > 0:
             return
         # branch on the uncovered line with fewest points, lowest index on ties
         for size_mask in lines_by_size:
@@ -169,22 +203,27 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         dead = 0  # uncovered lines this node's own bans leave unmeetable
         for p in bits(fam[pick] & ~banned):
             met = cover_of[p] & rem  # the lines p newly covers
-            child = count.copy()
-            for i in bits(met):
-                for j in line_slots[i]:
-                    if child[j]:  # a zero here is a banned point; it stays 0
-                        child[j] -= 1
-            search(chosen | (1 << p), covered | cover_of[p], banned, depth + 1,
-                   child, dead)
+            # bits() written out: these two loops run once per child
+            drop, m = 0, met
+            while m:
+                low = m & -m
+                drop += ones[low.bit_length() - 1]
+                m ^= low
+            search(chosen | (1 << p), rem & ~cover_of[p], banned, live, depth + 1,
+                   count - (drop & live), dead)
             if timed_out:
                 return
             banned |= 1 << p  # later branches must meet the line elsewhere
-            count[slot[p]] = 0
-            for i in bits(met):
-                if not fam[i] & ~banned:
-                    dead |= 1 << i
+            live &= ~(0xFF * one_of[p])
+            count &= live
+            m = met
+            while m:
+                low = m & -m
+                if not fam[low.bit_length() - 1] & ~banned:
+                    dead |= low
+                m ^= low
 
-    search(0, 0, 0, 0, [cover_of[p].bit_count() for p in candidate_points], 0)
+    search(0, all_lines, 0, (1 << 8 * n_points) - 1, 0, root, 0)
     return HittingSetResult(best_size, best_set, not timed_out, nodes)
 
 

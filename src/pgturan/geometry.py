@@ -242,14 +242,3 @@ def line_of(g: Geometry, text: str) -> int:
     if kind != "line":
         raise GeometryError(f"{text!r} is not a line")
     return i
-
-
-def expected_point_count(m: int, q: int) -> int:
-    return sum(q ** i for i in range(m + 1))
-
-
-def expected_line_count(m: int, q: int) -> int:
-    # Gaussian binomial [m+1 choose 2]_q
-    num = (q ** (m + 1) - 1) * (q ** (m + 1) - q)
-    den = (q ** 2 - 1) * (q ** 2 - q)
-    return num // den

@@ -137,12 +137,13 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
     """Build the arithmetic tables for GF(p^k).
 
     `modulus` is a coefficient vector (lowest degree first) of a monic
-    degree-k polynomial irreducible over GF(p); it is ignored when k = 1.
-    When omitted, GF(8) uses its fixed default and every other order takes
-    the first monic polynomial, in order of its coefficient vector
-    (c_0, ..., c_{k-1}) read as a base-p index, whose quotient ring is a
-    field.  That is the irreducibility test, for a given modulus too: the
-    tables are accepted exactly when every nonzero element has an inverse.
+    degree-k polynomial irreducible over GF(p); for k = 1 every monic
+    x + c gives the same tables.  When omitted, GF(8) uses its fixed
+    default and every other order takes the first monic polynomial, in
+    order of its coefficient vector (c_0, ..., c_{k-1}) read as a base-p
+    index, whose quotient ring is a field.  That is the irreducibility
+    test, for a given modulus too: the tables are accepted exactly when
+    every nonzero element has an inverse.
     """
     if not _is_prime(p):
         raise FieldError(f"characteristic {p} is not prime")
@@ -152,7 +153,7 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds {MAX_ORDER}")
 
-    if k > 1 and modulus is not None:
+    if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise FieldError("modulus must be monic of degree k")

@@ -239,6 +239,35 @@ def test_hitting_set_matches_reference_on_q9_arcs(q9_frame_arcs):
                                  [g.line_point_incidence[lid] for lid in arc.passant_ids])
 
 
+@pytest.mark.parametrize("q,step", [(7, 1), (8, 1), (11, 40)])
+def test_hitting_set_matches_reference_on_plane_arcs(q, step):
+    # every complete arc at q=7 and 8, every 40th frame-anchored one at q=11
+    g = build_geometry(2, q)
+    arcs = enumerate_complete_arcs(g, force=True)[::step]
+    assert arcs
+    for arc in arcs:
+        assert_matches_reference(g.all_points_mask & ~arc.mask,
+                                 [g.line_point_incidence[lid] for lid in arc.passant_ids])
+
+
+def test_greedy_tie_takes_the_lower_point():
+    # points 3 and 9 each meet all three lines, so the greedy cover is one
+    # point and optimal; the lower point wins the tie
+    family = [mask_of(s) for s in ((3, 9, 0), (3, 9, 12), (3, 9, 5))]
+    res = min_hitting_set(mask_of(range(13)), family)
+    assert (res.minimum_size, res.witness_ids(), res.optimal) == (1, (3,), True)
+    assert res.witness == reference_witness(family, 1)
+
+
+def test_point_on_more_than_255_members_rejected():
+    # point 0 lies on every member; its uncovered-line count must fit a byte
+    family = [1 | 1 << i for i in range(1, 257)]
+    with pytest.raises(CoveringError, match="255"):
+        min_hitting_set((1 << 257) - 1, family)
+    res = min_hitting_set((1 << 256) - 1, family[:255])
+    assert (res.minimum_size, res.witness, res.optimal) == (1, 1, True)
+
+
 def test_hitting_set_matches_reference_on_short_lines():
     # short lines sharing points make the bound and the dead-line exit bite
     # often, so a stale count or a missed dead line changes node counts here

@@ -7,8 +7,6 @@ import hypothesis.strategies as st
 from pgturan.geometry import (
     GeometryError,
     build_geometry,
-    expected_line_count,
-    expected_point_count,
     format_coords,
     line_of,
     line_through,
@@ -19,6 +17,17 @@ from pgturan.verify import run_all
 
 PLANES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9)]
 SOLIDS = [(3, 2), (3, 3)]
+
+
+def expected_point_count(m: int, q: int) -> int:
+    return sum(q ** i for i in range(m + 1))
+
+
+def expected_line_count(m: int, q: int) -> int:
+    # Gaussian binomial [m+1 choose 2]_q
+    num = (q ** (m + 1) - 1) * (q ** (m + 1) - q)
+    den = (q ** 2 - 1) * (q ** 2 - q)
+    return num // den
 
 
 def assert_geometry_invariants(g, m, q):

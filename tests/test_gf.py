@@ -1,6 +1,8 @@
 """Field table correctness: exhaustive axioms for small orders plus an
 independent polynomial-arithmetic oracle."""
 
+import dataclasses
+
 import pytest
 
 from pgturan.gf import FieldError, make_field, format_element, parse_element
@@ -225,6 +227,12 @@ def test_reducible_modulus_rejected():
         make_field(3, 2, modulus=(1, 0, 2))     # not monic
     with pytest.raises(FieldError):
         make_field(2, 2, modulus=(1, 1, 0))     # degree 1 padded to length 3
+    with pytest.raises(FieldError):
+        make_field(5, 1, modulus=(1, 2, 3))     # degree 2 for a prime field
+    with pytest.raises(FieldError):
+        make_field(5, 1, modulus=(2, 3))        # degree 1, not monic
+    with pytest.raises(FieldError):
+        make_field(5, 1, modulus=(2,))          # degree 0
 
 
 def test_custom_modulus_accepted():
@@ -233,6 +241,10 @@ def test_custom_modulus_accepted():
     assert f.pow(f.primitive, 7) == 1
     # coefficients are read mod p
     assert make_field(3, 2, modulus=(4, 3, 1)) == make_field(3, 2)
+    # every monic degree-1 modulus x + c gives the prime field's tables
+    f5 = make_field(5, 1, modulus=(2, 6))
+    assert f5.modulus == (2, 1)
+    assert dataclasses.replace(f5, modulus=(0, 1)) == make_field(5)
 
 
 def test_element_formatting_roundtrip():
