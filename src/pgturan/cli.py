@@ -29,12 +29,12 @@ def _emit(obj, fmt: str) -> None:
 
 
 def _cmd_geometry(args) -> int:
-    from .geometry import build_geometry, format_coords
+    from .geometry import bits, build_geometry, format_coords
     g = build_geometry(args.m, args.q)
     if args.list == "lines":
         rows = []
-        for i, line in enumerate(g.lines):
-            row = {"id": i, "point_ids": " ".join(map(str, line.point_ids))}
+        for i, line in enumerate(g.line_point_incidence):
+            row = {"id": i, "point_ids": " ".join(map(str, bits(line)))}
             if g.m == 2:
                 row["coords"] = format_coords(g, "line", i)
             rows.append(row)
@@ -50,13 +50,13 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_arcs(args) -> int:
-    from .geometry import build_geometry, format_coords
-    from .structures import bits, classify_up_to_collineation, enumerate_complete_arcs
+    from .geometry import bits, build_geometry, format_coords
+    from .structures import classify_up_to_collineation, enumerate_complete_arcs
     g = build_geometry(2, args.q)
     arcs = enumerate_complete_arcs(g)
     out = {"q": args.q, "complete_arcs": [
         {"size": a.size,
-         "points": [format_coords(g, "point", p) for p in a.points],
+         "points": [format_coords(g, "point", p) for p in bits(a.mask)],
          "passants": a.secant_profile[0],
          "tangents": a.secant_profile[1],
          "secants": a.secant_profile[2],
@@ -73,8 +73,8 @@ def _cmd_arcs(args) -> int:
 
 
 def _cmd_blocking(args) -> int:
-    from .geometry import build_geometry, format_coords
-    from .structures import bits, max_blocking_set_size
+    from .geometry import bits, build_geometry, format_coords
+    from .structures import max_blocking_set_size
     g = build_geometry(args.m, args.q)
     res = max_blocking_set_size(g, budget=args.budget)
     out = {"m": args.m, "q": args.q, "exact": res.exact,
@@ -94,7 +94,7 @@ def _cmd_blocking(args) -> int:
 
 def _cmd_mq(args) -> int:
     from .covering import compute_Mq
-    from .geometry import build_geometry, format_coords
+    from .geometry import bits, build_geometry, format_coords
     g = build_geometry(2, args.q)
     rep = compute_Mq(g)
     out = {
@@ -106,9 +106,9 @@ def _cmd_mq(args) -> int:
              "arcs_in_class": c.class_size,
              "m_of_arc": c.cover.minimum_size,
              "optimal": c.cover.optimal,
-             "cover": [format_coords(g, "point", p) for p in c.cover.witness_ids()]}
+             "cover": [format_coords(g, "point", p) for p in bits(c.cover.witness)]}
             for c in rep.per_class],
-        "witness_arc": [format_coords(g, "point", p) for p in rep.witness_arc.points],
+        "witness_arc": [format_coords(g, "point", p) for p in bits(rep.witness_arc.mask)],
     }
     _emit(out, "json")
     return 0
@@ -123,10 +123,9 @@ def _cmd_freeness(args) -> int:
     from .construction import (build_hypergraph, contains_subgeometry,
                                count_edges_exact, displayed_lower_bound, make_partition)
     from .geometry import build_geometry
-    m = 2 if args.scheme == "t3" else args.m
-    spec = make_partition(args.n, args.q, m, args.scheme, rates, k=args.k, M=args.M)
+    spec = make_partition(args.n, args.q, args.m, args.scheme, rates, k=args.k, M=args.M)
     h = build_hypergraph(spec)
-    pattern = build_geometry(m, args.q)
+    pattern = build_geometry(args.m, args.q)
     res = contains_subgeometry(h, pattern, budget=args.budget)
     out = {
         "scheme": args.scheme, "q": args.q, "n": args.n,
@@ -158,7 +157,7 @@ def _cmd_bounds(args) -> int:
                "upper": _frac(bounds.theorem1_upper(args.m, args.q))}
         if args.q == 2:
             out["binary_upper"] = _frac(bounds.pg2_upper(args.m))
-        if args.chi:
+        if args.chi is not None:
             out["chromatic_lower"] = _frac(bounds.chromatic_lower(args.q, args.chi))
     elif args.theorem == "2":
         t = args.t if args.t is not None else bounds.corollary1_t(args.m, args.q)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Geometry
+from .geometry import Geometry, bits
 
 
 class ConstructionError(ValueError):
@@ -295,7 +295,8 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
         if step == n_pts:
             return True
         nodes += 1
-        if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
+        if (deadline is not None and (nodes == 1 or nodes % 2048 == 0)
+                and time.monotonic() > deadline):
             out_status = "timeout"
             return False
         p = order[step]
@@ -365,7 +366,8 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
         if step == n_pts:
             return True
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+        if (deadline is not None and (nodes == 1 or nodes % 1024 == 0)
+                and time.monotonic() > deadline):
             out_status = "timeout"
             return False
         unused = all_vertices & ~used
@@ -416,10 +418,10 @@ def contains_subgeometry(h: Hypergraph, pattern: Geometry,
     """
     if pattern.q + 1 != h.r:
         raise ConstructionError("pattern uniformity differs from the host's")
-    if h.n < len(pattern.points):
+    n_pts = pattern.n_points
+    if h.n < n_pts:
         return SubgeometryResult("no", None, 0)
-    pattern_lines = [tuple(ln.point_ids) for ln in pattern.lines]
-    n_pts = len(pattern.points)
+    pattern_lines = [tuple(bits(lm)) for lm in pattern.line_point_incidence]
     deadline = time.monotonic() + budget if budget is not None else None
     if h.spec is not None and not force_generic:
         return _search_colored(h, pattern_lines, n_pts, deadline)

@@ -10,6 +10,9 @@ single int (so at most 255 lines through a point) and kept incrementally:
 each child subtracts, in one big-int step, the lines its point newly
 covers, a banned point's byte is cleared, and the bound reads the k largest
 counts level by level with `bytes.count`.
+
+A cover is a point mask; an arc's passants and each passant pencil are line
+masks, intersected and united as such.  Ids are formed only to print a claim.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ import json
 import time
 from dataclasses import dataclass
 
-from .geometry import Geometry, point_of, line_of, format_coords
+from .geometry import Geometry, bits, format_coords, line_of, mask_of, point_of
 from .structures import (
     ARC_ENUMERATION_MAX_Q,
     ArcRecord,
-    bits,
-    mask_of,
     secant_profile,
     enumerate_complete_arcs,
     classify_up_to_collineation,
@@ -42,9 +43,6 @@ class HittingSetResult:
     witness: int                 # bitmask of chosen points
     optimal: bool                # search exhausted (False only under a budget)
     explored_nodes: int
-
-    def witness_ids(self) -> tuple[int, ...]:
-        return tuple(bits(self.witness))
 
 
 @dataclass
@@ -67,11 +65,10 @@ class MqReport:
 @dataclass
 class PassantAnalysis:
     arc: ArcRecord
-    passant_count: int
     per_point: dict[int, int]            # point id -> passants through it
     peak_multiplicity: int
     peak_points: tuple[int, ...]
-    pencils: dict[int, tuple[int, ...]]  # peak point id -> its passant line ids
+    pencils: dict[int, int]              # peak point id -> mask of its passants
 
 
 def min_hitting_set(universe: int, family, budget: float | None = None) -> HittingSetResult:
@@ -259,7 +256,7 @@ def m_of_arc(g: Geometry, arc: ArcRecord, budget: float | None = None) -> Hittin
     if not arc.is_complete:
         raise CoveringError("m(K) is defined here only for complete arcs")
     universe = g.all_points_mask & ~arc.mask
-    family = [g.line_point_incidence[lid] for lid in arc.passant_ids]
+    family = [g.line_point_incidence[lid] for lid in bits(arc.passants)]
     return min_hitting_set(universe, family, budget)
 
 
@@ -301,27 +298,17 @@ def compute_Mq(g: Geometry, budget: float | None = None,
 
 def passant_analysis(g: Geometry, arc: ArcRecord) -> PassantAnalysis:
     """Per-point passant incidence of an arc, with the peak points' pencils."""
-    sel = 0
-    for lid in arc.passant_ids:
-        sel |= 1 << lid
-    per_point = {}
-    outside = g.all_points_mask & ~arc.mask
-    for p in bits(outside):
-        per_point[p] = (g.point_line_incidence[p] & sel).bit_count()
+    incidence = g.point_line_incidence
+    per_point = {p: (incidence[p] & arc.passants).bit_count()
+                 for p in bits(g.all_points_mask & ~arc.mask)}
     peak = max(per_point.values(), default=0)
     peaks = tuple(p for p, c in sorted(per_point.items()) if c == peak)
-    pencils = {
-        p: tuple(lid for lid in arc.passant_ids
-                 if g.point_line_incidence[p] >> lid & 1)
-        for p in peaks
-    }
     return PassantAnalysis(
         arc=arc,
-        passant_count=len(arc.passant_ids),
         per_point=per_point,
         peak_multiplicity=peak,
         peak_points=peaks,
-        pencils=pencils,
+        pencils={p: incidence[p] & arc.passants for p in peaks},
     )
 
 
@@ -365,6 +352,10 @@ def _claim(claims, cid, anchor, source, expected, computed, ok):
                         "pass" if ok else "fail"))
 
 
+def _line_labels(g: Geometry, lines: int) -> list[str]:
+    return sorted(format_coords(g, "line", lid) for lid in bits(lines))
+
+
 def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> list[Claim]:
     """Reproduce the passant-pencil analysis of the complete 6-arcs, claim by claim.
 
@@ -405,43 +396,37 @@ def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> lis
                sorted(format_coords(g, "point", p) for p in ana.peak_points),
                set(named_peaks) == set(ana.peak_points))
 
-        pencil_sets = {}
+        pencils = {}   # pencil number -> mask of its passants
         for idx, (peak_label, lines) in enumerate(zip(case["peaks"], case["pencils"]), 1):
-            p = point_of(g, peak_label)
-            expected = {line_of(g, s) for s in lines}
-            got = set(ana.pencils.get(p, ()))
-            pencil_sets[idx] = got
+            expected = mask_of(line_of(g, s) for s in lines)
+            got = ana.pencils.get(point_of(g, peak_label), 0)
+            pencils[idx] = got
             _claim(claims, f"{pre}.pencil.P{idx}", tag, "reference",
-                   sorted(format_coords(g, "line", l) for l in expected),
-                   sorted(format_coords(g, "line", l) for l in got),
-                   expected == got)
+                   _line_labels(g, expected), _line_labels(g, got), expected == got)
 
         for i, j, common in case.get("pair_intersections", ()):
-            expect = {line_of(g, common)}
-            got = pencil_sets[i] & pencil_sets[j]
+            expect = 1 << line_of(g, common)
+            got = pencils[i] & pencils[j]
             _claim(claims, f"{pre}.pairint.P{i}P{j}", tag, "reference",
-                   sorted(format_coords(g, "line", l) for l in expect),
-                   sorted(format_coords(g, "line", l) for l in got),
-                   got == expect)
+                   _line_labels(g, expect), _line_labels(g, got), got == expect)
 
         for pairs, common in case.get("triple_intersections", ()):
-            expect = {line_of(g, common)}
-            seen = set()
+            expect = 1 << line_of(g, common)
+            seen = 0
             for i, j in pairs:
-                seen |= pencil_sets[i] & pencil_sets[j]
-            ok = all(pencil_sets[i] & pencil_sets[j] == expect for i, j in pairs)
-            cid = f"{pre}.tripleint.{format_coords(g, 'line', next(iter(expect)))}"
+                seen |= pencils[i] & pencils[j]
+            ok = all(pencils[i] & pencils[j] == expect for i, j in pairs)
+            cid = f"{pre}.tripleint.{format_coords(g, 'line', line_of(g, common))}"
             _claim(claims, cid, tag, "reference",
-                   sorted(format_coords(g, "line", l) for l in expect),
-                   sorted(format_coords(g, "line", l) for l in seen), ok)
+                   _line_labels(g, expect), _line_labels(g, seen), ok)
 
         for size, cap in sorted(data["union_caps"].items()):
             worst = 0
-            for combo in itertools.combinations(sorted(pencil_sets), size):
-                u = set()
+            for combo in itertools.combinations(sorted(pencils), size):
+                u = 0
                 for i in combo:
-                    u |= pencil_sets[i]
-                worst = max(worst, len(u))
+                    u |= pencils[i]
+                worst = max(worst, u.bit_count())
             _claim(claims, f"{pre}.union.I{size}", tag, "reference",
                    f"<= {cap}", worst, worst <= cap)
 

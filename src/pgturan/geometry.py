@@ -2,9 +2,10 @@
 
 Points are one-dimensional subspaces of F_q^{m+1}, stored as coordinate
 vectors normalized so the first nonzero coordinate is 1.  Lines are the
-two-dimensional subspaces, stored both as sorted point-id tuples and (for
-m=2) as normalized dual coordinate triples.  Incidence is kept in integer
-bitsets so set operations in the search layers are single machine ops.
+two-dimensional subspaces.  Every point or line set is an integer bitmask
+over ids: a line is the mask of its points, a point the mask of its lines,
+so set operations in the search layers are single machine ops.  For m=2 a
+line also has normalized dual coordinates, kept for parsing and printing.
 """
 
 from __future__ import annotations
@@ -21,15 +22,19 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    coords: tuple[int, ...]  # first nonzero coordinate equals 1
+def bits(mask: int):
+    """The ids in a bitmask, ascending."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
-@dataclass(frozen=True)
-class ProjLine:
-    point_ids: tuple[int, ...]          # sorted, exactly q+1 of them
-    dual: tuple[int, ...] | None = None  # normalized [x,y,z], m=2 only
+def mask_of(ids) -> int:
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class Geometry:
     m: int
     q: int
     field: FieldTable
-    points: tuple[ProjPoint, ...]
-    lines: tuple[ProjLine, ...]
+    points: tuple[tuple[int, ...], ...]                  # coordinates, first nonzero is 1
+    duals: tuple[tuple[int, ...], ...]                   # line -> [x,y,z]; m=2 only
     point_index: dict[tuple[int, ...], int]
     dual_index: dict[tuple[int, ...], int]               # m=2 only, else empty
     point_line_incidence: tuple[int, ...]                # bitset of line ids per point
@@ -51,7 +56,7 @@ class Geometry:
 
     @property
     def n_lines(self) -> int:
-        return len(self.lines)
+        return len(self.line_point_incidence)
 
     @property
     def all_points_mask(self) -> int:
@@ -122,7 +127,7 @@ def build_geometry(m: int, q: int) -> Geometry:
     n = len(coord_list)
     assert n == sum(q ** i for i in range(m + 1))
 
-    lines: list[ProjLine] = []
+    duals: list[tuple[int, ...]] = []
     dual_index: dict[tuple[int, ...], int] = {}
     point_line_incidence = [0] * n
     line_point_incidence: list[int] = []
@@ -137,13 +142,11 @@ def build_geometry(m: int, q: int) -> Geometry:
             for t in range(q):
                 vec = tuple(f.add(f.mul(t, x), y) for x, y in zip(ua, ub))
                 ids.append(point_index[_normalize(f, vec)])
-            ids.sort()
-            lid = len(lines)
-            dual = None
+            lid = len(line_point_incidence)
             if m == 2:
                 dual = _normalize(f, _cross(f, ua, ub))
                 dual_index[dual] = lid
-            lines.append(ProjLine(tuple(ids), dual))
+                duals.append(dual)
             mask = 0
             for pid in ids:
                 mask |= 1 << pid
@@ -155,8 +158,8 @@ def build_geometry(m: int, q: int) -> Geometry:
                     pair_line[y][x] = lid
     return Geometry(
         m=m, q=q, field=f,
-        points=tuple(ProjPoint(c) for c in coord_list),
-        lines=tuple(lines),
+        points=tuple(coord_list),
+        duals=tuple(duals),
         point_index=point_index,
         dual_index=dual_index,
         point_line_incidence=tuple(point_line_incidence),
@@ -190,13 +193,12 @@ def format_coords(g: Geometry, kind: str, obj_id: int) -> str:
     """Paper-style text for a point "(a,b,c)" or, for m=2, a line "[x,y,z]"."""
     f = g.field
     if kind == "point":
-        inner = ",".join(format_element(f, c) for c in g.points[obj_id].coords)
+        inner = ",".join(format_element(f, c) for c in g.points[obj_id])
         return f"({inner})"
     if kind == "line":
-        line = g.lines[obj_id]
-        if line.dual is None:
+        if g.m != 2:
             raise GeometryError("dual line coordinates exist only for m=2")
-        inner = ",".join(format_element(f, c) for c in line.dual)
+        inner = ",".join(format_element(f, c) for c in g.duals[obj_id])
         return f"[{inner}]"
     raise GeometryError(f"unknown kind {kind!r}")
 

@@ -1,6 +1,7 @@
 """Blocking sets, arcs, secant profiles and complete-arc classification.
 
-Point sets are integer bitmasks over the point ids of a fixed Geometry.
+Point and line sets are integer bitmasks over the ids of a fixed Geometry;
+an arc record holds its points and its passants as masks.
 Complete arcs are enumerated frame-anchored: the projective group is
 transitive on ordered frames, so every complete arc of size >= 4 is
 equivalent to one containing {(1,0,0),(0,1,0),(0,0,1),(1,1,1)}.
@@ -19,7 +20,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .geometry import Geometry
+from .geometry import Geometry, bits, mask_of
 
 
 ARC_ENUMERATION_MAX_Q = 8
@@ -29,31 +30,16 @@ class StructureError(ValueError):
     pass
 
 
-def bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def mask_of(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
-
-
 @dataclass
 class ArcRecord:
-    points: tuple[int, ...]
-    mask: int
+    mask: int                          # the arc's points
     is_complete: bool
     secant_profile: dict[int, int]     # i-secant counts for i = 0, 1, 2
-    passant_ids: tuple[int, ...]
+    passants: int                      # mask of the lines missing the arc
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.mask.bit_count()
 
 
 @dataclass
@@ -105,7 +91,8 @@ def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
         # recheck: the lines through the newest point that held a chosen point
         nonlocal nodes, timed_out
         nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+        if (deadline is not None and (nodes == 1 or nodes % 4096 == 0)
+                and time.monotonic() > deadline):
             timed_out = True
             return None
         # the two scans walk their masks inline; bits() costs about 15% here
@@ -188,36 +175,32 @@ def _bisecant_cover(g: Geometry, mask: int) -> int:
     return cover
 
 
+def _closed(g: Geometry, arc_mask: int) -> bool:
+    """Whether the arc's bisecant cover, empty below 2 points, holds every
+    point off the arc: then no outside point can extend it."""
+    return g.all_points_mask & ~_bisecant_cover(g, arc_mask) & ~arc_mask == 0
+
+
 def is_complete_arc(g: Geometry, mask: int) -> bool:
     """An arc is complete when no outside point can extend it."""
-    if not is_arc(g, mask):
-        return False
-    if mask.bit_count() < 2:
-        return False
-    extendable = g.all_points_mask & ~_bisecant_cover(g, mask) & ~mask
-    return extendable == 0
+    return is_arc(g, mask) and _closed(g, mask)
 
 
 def secant_profile(g: Geometry, mask: int) -> ArcRecord:
-    """Passant/tangent/secant counts of an arc, with the passant line ids."""
+    """Passant/tangent/secant counts and completeness of an arc, with its
+    passants' mask."""
     if g.m != 2:
         raise StructureError("secant profiles are defined only for planes")
     profile = {0: 0, 1: 0, 2: 0}
-    passants = []
+    passants = 0
     for lid, lm in enumerate(g.line_point_incidence):
         c = (mask & lm).bit_count()
         if c > 2:
             raise StructureError("point set is not an arc")
         profile[c] += 1
         if c == 0:
-            passants.append(lid)
-    return ArcRecord(
-        points=tuple(bits(mask)),
-        mask=mask,
-        is_complete=is_complete_arc(g, mask),
-        secant_profile=profile,
-        passant_ids=tuple(passants),
-    )
+            passants |= 1 << lid
+    return ArcRecord(mask, _closed(g, mask), profile, passants)
 
 
 def frame_point_ids(g: Geometry) -> tuple[int, ...]:
@@ -270,14 +253,10 @@ def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]
         if cand == 0:
             k = len(arc_ids)
             unmet = all_lines & ~met
-            found.append(ArcRecord(
-                points=tuple(bits(arc_mask)),
-                mask=arc_mask,
-                is_complete=True,
-                secant_profile={0: unmet.bit_count(), 1: k * (q + 2 - k),
-                                2: k * (k - 1) // 2},
-                passant_ids=tuple(bits(unmet)),
-            ))
+            found.append(ArcRecord(arc_mask, True,
+                                   {0: unmet.bit_count(), 1: k * (q + 2 - k),
+                                    2: k * (k - 1) // 2},
+                                   unmet))
             return
         for p in bits(cand & -(1 << min_next)):
             add = 0
@@ -322,7 +301,7 @@ def projectivity_from_frame(g: Geometry, pts: tuple[int, int, int, int]):
     The points must be in general position (no 3 collinear).
     """
     f = g.field
-    p1, p2, p3, p4 = (g.points[i].coords for i in pts)
+    p1, p2, p3, p4 = (g.points[i] for i in pts)
     inv = _mat_inverse(f, tuple(zip(p1, p2, p3)))  # columns p1,p2,p3
     l1, l2, l3 = _matvec(f, inv, p4)
     if not (l1 and l2 and l3):
@@ -336,7 +315,7 @@ def apply_projectivity(g: Geometry, mat, mask: int) -> int:
     f = g.field
     out = 0
     for p in bits(mask):
-        img = g.point_id(_matvec(f, mat, g.points[p].coords))
+        img = g.point_id(_matvec(f, mat, g.points[p]))
         out |= 1 << img
     return out
 
@@ -346,7 +325,7 @@ def apply_field_automorphism(g: Geometry, power: int, mask: int) -> int:
     f = g.field
     out = 0
     for p in bits(mask):
-        coords = tuple(f.pow(c, f.p ** power) for c in g.points[p].coords)
+        coords = tuple(f.pow(c, f.p ** power) for c in g.points[p])
         out |= 1 << g.point_id(coords)
     return out
 
@@ -376,7 +355,7 @@ def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
         m_aut = apply_field_automorphism(g, aut, mask_a)
         back = collineation_to_frame(g, tuple(bits(m_aut))[:4])
         moved = apply_projectivity(g, back, m_aut)
-        rests.append([g.points[p].coords for p in bits(moved & ~frame_mask)])
+        rests.append([g.points[p] for p in bits(moved & ~frame_mask)])
     for quad in itertools.permutations(ids_b, 4):
         try:
             fwd = projectivity_from_frame(g, quad)
@@ -407,14 +386,11 @@ def classify_up_to_collineation(g: Geometry, masks) -> list[list[int]]:
     return classes
 
 
-def max_concurrency(g: Geometry, line_ids) -> int:
-    """Largest number of the given lines passing through a common point."""
-    sel = 0
-    for lid in line_ids:
-        sel |= 1 << lid
+def max_concurrency(g: Geometry, lines: int) -> int:
+    """Largest number of the lines in the mask passing through a common point."""
     best = 0
     for inc in g.point_line_incidence:
-        c = (inc & sel).bit_count()
+        c = (inc & lines).bit_count()
         if c > best:
             best = c
     return best

@@ -64,7 +64,7 @@ def _geometry_claims(corrupt: bool = False) -> list[ClaimSpec]:
             # rescaled coordinates must normalize back to the same point
             s = g.field.primitive
             ok = ok and all(
-                g.point_id(tuple(g.field.mul(s, c) for c in g.points[i].coords)) == i
+                g.point_id(tuple(g.field.mul(s, c) for c in g.points[i])) == i
                 for i in range(0, g.n_points, max(1, g.n_points // 8))
             )
             return f"({g.n_points},{g.n_lines})", ok
@@ -108,7 +108,7 @@ def _classification_claims(arcs, mq) -> list[ClaimSpec]:
 
         def conc_run(q=q, big=big, cap=cap):
             g = build_geometry(2, q)
-            worst = max(max_concurrency(g, a.passant_ids)
+            worst = max(max_concurrency(g, a.passants)
                         for a in arcs(q) if a.size == big)
             return str(worst), worst <= cap
         claims.append(ClaimSpec(f"{tag}.concurrency.q{q}", tag, "reference",

@@ -141,7 +141,7 @@ def test_criterion_6_classification():
         big = max(sizes)
         big_arcs = [a for a in arcs if a.size == big]
         got_pass = {a.secant_profile[0] for a in big_arcs}
-        got_cap = max(max_concurrency(g, a.passant_ids) for a in big_arcs)
+        got_cap = max(max_concurrency(g, a.passants) for a in big_arcs)
         row_ok = got_sizes == sizes and got_pass == {passants} and got_cap <= cap
         ok = ok and row_ok
         detail.append(f"q{q}:{sorted(got_sizes)}/{got_pass}/{got_cap}")

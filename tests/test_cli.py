@@ -41,6 +41,8 @@ def test_geometry_json_and_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",")[0] == "id"
     assert len(lines) == 8
+    # each line's point ids ascend, then its dual coordinates
+    assert lines[1:3] == ["0,0 1 6,[0,1,0]", "1,0 2 4,[0,0,1]"]
 
 
 def test_arcs_classify(capsys):
@@ -91,6 +93,15 @@ def test_bounds_commands(capsys):
     code, searched = run(capsys, "bounds", "--theorem", "3", "--q", "3")
     assert code == 0
     assert searched == out          # M(3) = 2 is found by the cover search
+
+
+def test_bounds_rejects_a_chromatic_number_of_zero(capsys):
+    for chi in ("0", "1"):
+        code = main(["bounds", "--theorem", "1", "--q", "3", "--chi", chi])
+        captured = capsys.readouterr()
+        assert code == 1, chi
+        assert captured.out == ""
+        assert captured.err == "error: chromatic number must be at least 2\n"
 
 
 def test_bounds_rejects_an_order_that_is_not_a_prime_power(capsys):
@@ -153,6 +164,15 @@ def test_freeness_names_the_rate_count(capsys):
                  "--rates", "0.5,0.5"])
     assert capsys.readouterr().err == "error: t3 takes 3 rates (alpha, beta, gamma), not 2\n"
     assert code == 1
+
+
+def test_freeness_t3_rejects_a_solid(capsys):
+    code = main(["freeness", "--scheme", "t3", "--q", "3", "--m", "3", "--n", "16",
+                 "--M", "2", "--rates", "0.5948588940,0.3216013121,0.0835397939"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: t3 is a plane construction (m=2)\n"
 
 
 def test_verify_appendices_exit_zero(capsys):

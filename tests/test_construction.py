@@ -22,7 +22,7 @@ from pgturan.construction import (
     part_pattern,
 )
 from pgturan.bounds import theorem2_polynomial, theorem3_polynomial
-from pgturan.geometry import build_geometry
+from pgturan.geometry import bits, build_geometry
 
 
 def random_spec(rng, q=None):
@@ -299,8 +299,8 @@ def test_complete_host_contains_fano():
     assert res.status == "yes"
     image = set(res.witness.values())
     assert len(image) == 7
-    for line in fano.lines:
-        assert len({res.witness[p] for p in line.point_ids}) == 3
+    for line in fano.line_point_incidence:
+        assert len({res.witness[p] for p in bits(line)}) == 3
 
 
 def test_uniformity_mismatch_rejected():
@@ -394,8 +394,8 @@ def search_generic_reference(h, pattern_lines, n_pts, deadline=None):
 
 def assert_generic_matches_reference(h, pattern):
     res = contains_subgeometry(h, pattern, force_generic=True)
-    lines = [tuple(ln.point_ids) for ln in pattern.lines]
-    want = search_generic_reference(h, lines, len(pattern.points))
+    lines = [tuple(bits(ln)) for ln in pattern.line_point_incidence]
+    want = search_generic_reference(h, lines, pattern.n_points)
     assert (res.status, res.nodes, res.witness) == want
     return want
 
@@ -425,10 +425,16 @@ def test_generic_search_matches_reference_on_partition_hosts(scheme, n, q, rates
 
 
 def test_generic_search_zero_budget_times_out():
-    # the generic search reads the deadline every 1024 nodes
+    # the generic search reads the deadline at the root
     h = build_hypergraph(make_partition(11, 2, 2, "t2", (1 / 12,), k=0))
     res = contains_subgeometry(h, build_geometry(2, 2), budget=0, force_generic=True)
-    assert (res.status, res.nodes, res.witness) == ("timeout", 1024, None)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 1, None)
+
+
+def test_generic_search_zero_budget_stops_before_an_easy_yes():
+    # K_7^3 holds a Fano plane within 7 nodes, before any periodic read
+    res = contains_subgeometry(complete_hypergraph(7, 3), build_geometry(2, 2), budget=0)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 1, None)
 
 
 def test_generic_search_agrees_with_part_search():
@@ -481,8 +487,8 @@ def test_generic_search_agrees_with_part_search():
         edges = {frozenset(e) for e in h.edges}
         for res in (a, b):
             assert len(set(res.witness.values())) == g3.n_points
-            for line in g3.lines:
-                assert frozenset(res.witness[p] for p in line.point_ids) in edges
+            for line in g3.line_point_incidence:
+                assert frozenset(res.witness[p] for p in bits(line)) in edges
         yes += 1
     assert yes >= 6
 
@@ -514,9 +520,9 @@ def test_part_search_finds_copies_when_constraints_allow():
     assert res.status == gen.status
     if res.status == "yes":
         part_of = spec.part_of_vertex()
-        for line in g3.lines:
+        for line in g3.line_point_incidence:
             counts = [0] * len(spec.sizes)
-            for p in line.point_ids:
+            for p in bits(line):
                 counts[part_of[res.witness[p]]] += 1
             assert spec.edge_ok(counts)
 
@@ -529,9 +535,9 @@ def test_witness_determinism():
 
 
 def test_zero_budget_times_out():
-    # the deadline is read every 2048 nodes, and this host needs 4526 to say no
+    # the deadline is read at the root, and this host needs 4526 nodes to say no
     spec = make_partition(16, 3, 2, "t3",
                           (0.5948588940, 0.3216013121, 0.0835397939), M=2)
     h = build_hypergraph(spec)
     res = contains_subgeometry(h, build_geometry(2, 3), budget=0)
-    assert (res.status, res.nodes, res.witness) == ("timeout", 2048, None)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 1, None)

@@ -112,7 +112,7 @@ def test_m_of_arc_values(q, expect):
     left = g.all_points_mask & ~rep.witness_arc.mask & ~rep.witness_cover.witness
     assert not any(lm & left == lm for lm in g.line_point_incidence)
     # independent exhaustion: no cover of size M(q) - 1 for the witness class
-    fam = [g.line_point_incidence[l] for l in rep.witness_arc.passant_ids]
+    fam = [g.line_point_incidence[l] for l in bits(rep.witness_arc.passants)]
     universe = g.all_points_mask & ~rep.witness_arc.mask
     assert not exhaustive_cover_exists(universe, fam, expect - 1)
 
@@ -131,7 +131,8 @@ PRINTED_COVERS = {
 @pytest.mark.parametrize("q", [7, 8])
 def test_mq_witness_covers_pinned(q):
     rep = compute_Mq(build_geometry(2, q))
-    got = [(c.representative.points, c.cover.minimum_size, c.cover.witness_ids())
+    got = [(tuple(bits(c.representative.mask)), c.cover.minimum_size,
+            tuple(bits(c.cover.witness)))
            for c in rep.per_class]
     assert got == PRINTED_COVERS[q]
 
@@ -236,7 +237,7 @@ def test_hitting_set_matches_reference_on_q9_arcs(q9_frame_arcs):
     g, arcs = q9_frame_arcs
     for arc in arcs:
         assert_matches_reference(g.all_points_mask & ~arc.mask,
-                                 [g.line_point_incidence[lid] for lid in arc.passant_ids])
+                                 [g.line_point_incidence[lid] for lid in bits(arc.passants)])
 
 
 @pytest.mark.parametrize("q,step", [(7, 1), (8, 1), (11, 40)])
@@ -247,7 +248,7 @@ def test_hitting_set_matches_reference_on_plane_arcs(q, step):
     assert arcs
     for arc in arcs:
         assert_matches_reference(g.all_points_mask & ~arc.mask,
-                                 [g.line_point_incidence[lid] for lid in arc.passant_ids])
+                                 [g.line_point_incidence[lid] for lid in bits(arc.passants)])
 
 
 def test_greedy_tie_takes_the_lower_point():
@@ -255,7 +256,7 @@ def test_greedy_tie_takes_the_lower_point():
     # point and optimal; the lower point wins the tie
     family = [mask_of(s) for s in ((3, 9, 0), (3, 9, 12), (3, 9, 5))]
     res = min_hitting_set(mask_of(range(13)), family)
-    assert (res.minimum_size, res.witness_ids(), res.optimal) == (1, (3,), True)
+    assert (res.minimum_size, tuple(bits(res.witness)), res.optimal) == (1, (3,), True)
     assert res.witness == reference_witness(family, 1)
 
 
@@ -300,7 +301,7 @@ def test_m_invariant_under_collineation():
     base = m_of_arc(g, rec).minimum_size
     # four points of the 8-arc are in general position, so they define a map
     big = next(a for a in arcs if a.size == 8)
-    mat = projectivity_from_frame(g, big.points[2:6])
+    mat = projectivity_from_frame(g, tuple(bits(big.mask))[2:6])
     moved = secant_profile(g, apply_projectivity(g, mat, rec.mask))
     assert moved.is_complete
     assert m_of_arc(g, moved).minimum_size == base
@@ -315,14 +316,14 @@ def k1_record(g):
 def test_passant_analysis_k1():
     g = build_geometry(2, 7)
     ana = passant_analysis(g, k1_record(g))
-    assert ana.passant_count == 24
+    assert ana.arc.secant_profile[0] == 24
     assert ana.peak_multiplicity == 5
     expected = {point_of(g, s) for s in
                 ("(0,1,0)", "(1,2,6)", "(1,6,5)", "(1,5,1)", "(0,0,1)", "(1,1,2)")}
     assert set(ana.peak_points) == expected
     # every passant has q+1 points, all off the arc
     assert sum(ana.per_point.values()) == 24 * 8
-    for lid in ana.arc.passant_ids:
+    for lid in bits(ana.arc.passants):
         assert g.line_point_incidence[lid] & ana.arc.mask == 0
 
 
@@ -332,7 +333,7 @@ def test_pencil_of_named_point_k2():
                  ("(-1,1,1)", "(1,1,1)", "(1,-1,1)", "(-1,-1,1)", "(0,2,1)", "(0,-3,1)"))
     ana = passant_analysis(g, secant_profile(g, k2))
     p5 = point_of(g, "(0,0,1)")
-    got = {format_coords(g, "line", l) for l in ana.pencils[p5]}
+    got = {format_coords(g, "line", l) for l in bits(ana.pencils[p5])}
     assert got == {"[1,3,0]", "[1,2,0]", "[0,1,0]", "[1,5,0]", "[1,4,0]"}
 
 
@@ -340,14 +341,14 @@ def test_lemma_floor_by_independent_exhaustion():
     # no 5 points cover the 24 passants (q=7), no 6 cover the 34 (q=8)
     g7 = build_geometry(2, 7)
     rec = k1_record(g7)
-    fam = [g7.line_point_incidence[l] for l in rec.passant_ids]
+    fam = [g7.line_point_incidence[l] for l in bits(rec.passants)]
     assert not exhaustive_cover_exists(g7.all_points_mask & ~rec.mask, fam, 5)
 
     g8 = build_geometry(2, 8)
     k = mask_of(point_of(g8, s) for s in
                 ("(1,0,0)", "(0,1,0)", "(0,0,1)", "(1,1,1)", "(ω^3,ω^2,1)", "(ω^2,ω^3,1)"))
     rec8 = secant_profile(g8, k)
-    fam8 = [g8.line_point_incidence[l] for l in rec8.passant_ids]
+    fam8 = [g8.line_point_incidence[l] for l in bits(rec8.passants)]
     assert not exhaustive_cover_exists(g8.all_points_mask & ~rec8.mask, fam8, 6)
 
 

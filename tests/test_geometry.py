@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from pgturan.geometry import (
     GeometryError,
+    bits,
     build_geometry,
     format_coords,
     line_of,
@@ -89,8 +90,8 @@ def test_line_through_rejects_equal_points():
 
 def test_line_members_recover_line():
     g = build_geometry(2, 4)
-    for lid, line in enumerate(g.lines):
-        ids = line.point_ids
+    for lid, line in enumerate(g.line_point_incidence):
+        ids = tuple(bits(line))
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 assert line_through(g, ids[i], ids[j]) == lid
@@ -114,7 +115,7 @@ def test_line_through_basis_points():
 def test_fano_line_closure():
     g = build_geometry(2, 2)
     lid = line_through(g, point_of(g, "(1,0,0)"), point_of(g, "(0,1,0)"))
-    members = {format_coords(g, "point", p) for p in g.lines[lid].point_ids}
+    members = {format_coords(g, "point", p) for p in bits(g.line_point_incidence[lid])}
     assert members == {"(1,0,0)", "(0,1,0)", "(1,1,0)"}
 
 
@@ -124,22 +125,25 @@ def test_dual_coordinates_orthogonal():
     u = point_of(g, "(1,2,6)")
     v = point_of(g, "(1,6,5)")
     lid = line_through(g, u, v)
-    dual = g.lines[lid].dual
+    dual = g.duals[lid]
     for pid in (u, v):
-        assert f.dot(g.points[pid].coords, dual) == 0
+        assert f.dot(g.points[pid], dual) == 0
     # and every point of the line satisfies the dual equation
-    for pid in g.lines[lid].point_ids:
-        assert f.dot(g.points[pid].coords, dual) == 0
+    for pid in bits(g.line_point_incidence[lid]):
+        assert f.dot(g.points[pid], dual) == 0
+    # one dual triple per line of a plane, none for a solid
+    assert len(g.duals) == g.n_lines
+    assert build_geometry(3, 2).duals == ()
 
 
 def test_parse_line_label():
     g = build_geometry(2, 7)
     lid = line_of(g, "[1,0,4]")
-    pts = g.lines[lid].point_ids
+    pts = tuple(bits(g.line_point_incidence[lid]))
     assert len(pts) == 8
     f = g.field
     for pid in pts:
-        x, _, z = g.points[pid].coords
+        x, _, z = g.points[pid]
         assert f.add(x, f.mul(4, z)) == 0
 
 

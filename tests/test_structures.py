@@ -154,8 +154,15 @@ def test_blocking_search_matches_rescanning_reference(m, q):
 
 
 def test_blocking_search_zero_budget_times_out():
+    # the deadline is read at the root and then every 4096 nodes
     res = max_blocking_set_size(build_geometry(2, 5), budget=0)
-    assert (res.size, res.witness, res.exact, res.explored_nodes) == (None, 0, False, 4096)
+    assert (res.size, res.witness, res.exact, res.explored_nodes) == (None, 0, False, 1)
+
+
+def test_blocking_search_zero_budget_stops_before_a_short_search_ends():
+    # the q=3 search ends after 490 nodes, before any periodic read
+    res = max_blocking_set_size(build_geometry(2, 3), budget=0)
+    assert (res.size, res.exact, res.explored_nodes) == (None, False, 1)
 
 
 def test_max_blocking_sizes():
@@ -237,6 +244,21 @@ def test_k1_is_complete_six_arc():
     assert secant_profile(g, k1).secant_profile[0] == 24
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_secant_profile_completeness_matches_is_complete_arc(q):
+    """secant_profile reads completeness off the bisecant cover; is_complete_arc
+    checks the arc condition first.  Dropping one point of a complete arc
+    leaves an incomplete arc, and 0, 1 or 2 points are never complete."""
+    g = build_geometry(2, q)
+    masks = [0, 1, mask_of([0, 1])]
+    for a in enumerate_complete_arcs(g):
+        masks.append(a.mask)
+        masks += [a.mask & ~(1 << p) for p in bits(a.mask)]
+    for mask in masks:
+        assert secant_profile(g, mask).is_complete == is_complete_arc(g, mask)
+    assert any(secant_profile(g, m).is_complete for m in masks)
+
+
 def test_secant_profile_rejects_non_arcs():
     g = build_geometry(2, 3)
     line0 = g.line_point_incidence[0]
@@ -258,7 +280,7 @@ def test_complete_arc_sizes(q, sizes):
     assert {a.size for a in arcs} == sizes
     frame = set(frame_point_ids(g))
     for a in arcs:
-        assert frame <= set(a.points)
+        assert frame <= set(bits(a.mask))
         assert a.is_complete
         cap = q + 1 if q % 2 else q + 2
         assert a.size <= cap
@@ -282,7 +304,7 @@ def test_passant_counts_and_concurrency(q, big, passants, cap):
         if a.size != big:
             continue
         assert a.secant_profile[0] == passants
-        assert max_concurrency(g, a.passant_ids) <= cap
+        assert max_concurrency(g, a.passants) <= cap
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
@@ -359,7 +381,7 @@ def _ref_mat_inverse(f, mat):
 
 def _ref_projectivity_from_frame(g, pts):
     f = g.field
-    p1, p2, p3, p4 = (g.points[i].coords for i in pts)
+    p1, p2, p3, p4 = (g.points[i] for i in pts)
     base = (p1, p2, p3)
     inv = _ref_mat_inverse(f, tuple(zip(*base)))  # columns p1,p2,p3
     lam = _ref_matvec(f, inv, p4)
@@ -377,7 +399,7 @@ def _ref_point_id(g, vec):
 def _ref_apply_projectivity(g, mat, mask):
     out = 0
     for p in bits(mask):
-        out |= 1 << _ref_point_id(g, _ref_matvec(g.field, mat, g.points[p].coords))
+        out |= 1 << _ref_point_id(g, _ref_matvec(g.field, mat, g.points[p]))
     return out
 
 
@@ -396,7 +418,7 @@ def _arcs_equivalent_reference(g, mask_a, mask_b):
     for aut in range(f.k):
         m_aut = apply_field_automorphism(g, aut, mask_a)
         back = _ref_collineation_to_frame(g, tuple(bits(m_aut))[:4])
-        rest = [g.points[p].coords for p in bits(_ref_apply_projectivity(g, back, m_aut))]
+        rest = [g.points[p] for p in bits(_ref_apply_projectivity(g, back, m_aut))]
         for quad in itertools.permutations(tuple(bits(mask_b)), 4):
             try:
                 fwd = _ref_projectivity_from_frame(g, quad)
@@ -510,7 +532,7 @@ def test_any_arc_maps_onto_frame():
     arcs = enumerate_complete_arcs(g)
     frame = set(frame_point_ids(g))
     for a in arcs[:6]:
-        quad = a.points[1:5]    # any four arc points are in general position
+        quad = tuple(bits(a.mask))[1:5]    # any four arc points are in general position
         mat = collineation_to_frame(g, quad)
         image = apply_projectivity(g, mat, a.mask)
         assert frame <= set(bits(image))
@@ -528,6 +550,6 @@ def test_field_automorphism_preserves_arcs():
 
 def test_max_concurrency_counts_pencils():
     g = build_geometry(2, 3)
-    incident = [l for l, lm in enumerate(g.line_point_incidence) if lm & 1]
-    assert max_concurrency(g, incident) == len(incident)
-    assert max_concurrency(g, []) == 0
+    incident = mask_of(l for l, lm in enumerate(g.line_point_incidence) if lm & 1)
+    assert max_concurrency(g, incident) == incident.bit_count()
+    assert max_concurrency(g, 0) == 0
