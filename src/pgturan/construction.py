@@ -6,7 +6,8 @@ its cap.  Only `part_pattern` tells the paper's two constructions apart: it
 gives each part's cap and rate variable, which `make_partition` rounds into
 part sizes and `density_monomials` expands into the limit edge density.
 Edge counting is exact combinatorics over the part sizes; PG-freeness is
-audited by explicit embedding search.
+audited by explicit embedding search.  Hypergraph edges are vertex masks,
+and the search reads pattern lines and part members as point masks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Geometry, bits
+from .geometry import Geometry, bits, mask_of
 
 
 class ConstructionError(ValueError):
@@ -128,13 +129,12 @@ def make_partition(n: int, q: int, m: int, scheme: str, rates,
 class Hypergraph:
     n: int
     r: int
-    edges: list[tuple[int, ...]]
+    edges: list[int]                  # vertex masks
     spec: PartitionSpec | None = None
 
 
 def complete_hypergraph(n: int, r: int) -> Hypergraph:
-    return Hypergraph(n=n, r=r,
-                      edges=[tuple(e) for e in itertools.combinations(range(n), r)])
+    return Hypergraph(n=n, r=r, edges=list(map(mask_of, itertools.combinations(range(n), r))))
 
 
 def build_hypergraph(spec: PartitionSpec) -> Hypergraph:
@@ -150,7 +150,7 @@ def build_hypergraph(spec: PartitionSpec) -> Hypergraph:
         for v in combo:
             counts[part_of[v]] += 1
         if spec.edge_ok(counts):
-            edges.append(combo)
+            edges.append(mask_of(combo))
     return Hypergraph(n=spec.n, r=spec.r, edges=edges, spec=spec)
 
 
@@ -229,30 +229,29 @@ class SubgeometryResult:
 
 
 def _pattern_order(n_points: int, lines) -> list[int]:
-    """Point order that closes fully-mapped lines as early as possible."""
-    remaining = set(range(n_points))
-    order: list[int] = []
-    placed: set[int] = set()
+    """Point order that closes fully-mapped lines as early as possible.
+
+    Starts with the points of the lexicographically first line, ascending.
+    Each later point closes the most lines, then leaves the most lines one
+    point short, then meets the most lines with a placed point; ties go to
+    the lowest point.
+    """
+    first = min(lines, key=lambda ln: tuple(bits(ln)))
+    order = list(bits(first))
+    placed = first
+    # per point, each line through it without the point itself
+    others = [[ln ^ 1 << p for ln in lines if ln >> p & 1] for p in range(n_points)]
 
     def gain(p):
-        closes = sum(1 for ln in lines if p in ln and all(x in placed or x == p for x in ln))
-        almost = sum(1 for ln in lines if p in ln
-                     and sum(1 for x in ln if x in placed) == len(ln) - 2)
-        support = sum(1 for ln in lines if p in ln
-                      and any(x in placed for x in ln))
-        return (closes, almost, support)
+        left = [(o & ~placed).bit_count() for o in others[p]]
+        return (left.count(0), left.count(1), sum(1 for o in others[p] if o & placed))
 
-    # seed with the two highest-degree points of the first line
-    first = min(lines, key=lambda ln: tuple(ln))
-    for p in sorted(first):
-        order.append(p)
-        placed.add(p)
-        remaining.discard(p)
+    remaining = [p for p in range(n_points) if not placed >> p & 1]
     while remaining:
-        best = max(sorted(remaining), key=gain)
+        best = max(remaining, key=gain)
         order.append(best)
-        placed.add(best)
-        remaining.discard(best)
+        placed |= 1 << best
+        remaining.remove(best)
     return order
 
 
@@ -262,33 +261,21 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
 
     Vertices inside one part are interchangeable, so an embedding exists iff
     pattern points can be assigned parts, within capacity, such that every
-    line's per-part count vector is an edge type.
+    line's per-part count vector is an edge type.  `members[j]` is the mask
+    of points in part j.  Placing a point moves only its own part's count on
+    the lines through it, so only that count is checked, and X must meet the
+    lines it closes: every other count was checked when it last moved.
     """
     sizes, caps = h.spec.sizes, h.spec.caps
-    n_parts = len(sizes)
     order = _pattern_order(n_pts, pattern_lines)
-    lines_through = [[ln for ln in pattern_lines if p in ln] for p in range(n_pts)]
+    through = [[ln for ln in pattern_lines if ln >> p & 1] for p in order]  # per step
+    # the lines each step's point closes: all their points are placed by then
+    closing = [[ln for ln in through[s] if not ln & ~mask_of(order[:s + 1])]
+               for s in range(n_pts)]
 
-    color = [-1] * n_pts
-    used = [0] * n_parts
+    members = [0] * len(sizes)
     nodes = 0
     out_status = "no"
-
-    def feasible_partial(p_new) -> bool:
-        # caps are monotone, so only lines through the new point can break
-        for ln in lines_through[p_new]:
-            counts = [0] * n_parts
-            mapped = 0
-            for p in ln:
-                part = color[p]
-                if part >= 0:
-                    counts[part] += 1
-                    if counts[part] > caps[part]:
-                        return False
-                    mapped += 1
-            if mapped == len(ln) and counts[0] == 0:
-                return False
-        return True
 
     def rec(step: int) -> bool:
         nonlocal nodes, out_status
@@ -299,29 +286,27 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
                 and time.monotonic() > deadline):
             out_status = "timeout"
             return False
-        p = order[step]
-        for part in range(n_parts):
-            if used[part] >= sizes[part]:
+        pb = 1 << order[step]
+        for part, (size, cap) in enumerate(zip(sizes, caps)):
+            m = members[part]
+            if m.bit_count() >= size:
                 continue
-            color[p] = part
-            used[part] += 1
-            if feasible_partial(p) and rec(step + 1):
+            m |= pb
+            if any((ln & m).bit_count() > cap for ln in through[step]):
+                continue
+            members[part] = m
+            if all(ln & members[0] for ln in closing[step]) and rec(step + 1):
                 return True
-            used[part] -= 1
-            color[p] = -1
+            members[part] = m ^ pb
             if out_status == "timeout":
                 return False
         return False
 
     if rec(0):
-        # materialize: fresh vertices per part in index order
-        starts = [sum(sizes[:i]) for i in range(n_parts)]
-        next_free = list(starts)
-        witness = {}
-        for p in order:
-            part = color[p]
-            witness[p] = next_free[part]
-            next_free[part] += 1
+        # materialize: each part's points take its vertices in placement order
+        starts = itertools.accumulate(sizes, initial=0)
+        witness = {p: start + i for start, m in zip(starts, members)
+                   for i, p in enumerate(sorted(bits(m), key=order.index))}
         return SubgeometryResult("yes", witness, nodes)
     return SubgeometryResult(out_status, None, nodes)
 
@@ -340,18 +325,15 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
     """
     completions: dict[int, int] = {}
     for e in h.edges:
-        em = 0
-        for v in e:
-            em |= 1 << v
-        for v in e:
-            base = em & ~(1 << v)
-            completions[base] = completions.get(base, 0) | (1 << v)
+        for v in bits(e):
+            base = e ^ 1 << v
+            completions[base] = completions.get(base, 0) | 1 << v
     order = _pattern_order(n_pts, pattern_lines)
     pos = {p: i for i, p in enumerate(order)}
     closing = [[] for _ in range(n_pts)]     # other points of lines closed at this step
     pending = [[] for _ in range(n_pts)]     # mapped points of lines left one point short
     for ln in pattern_lines:
-        steps = sorted(pos[p] for p in ln)
+        steps = sorted(pos[p] for p in bits(ln))
         closing[steps[-1]].append([order[s] for s in steps[:-1]])
         pending[steps[-2]].append([order[s] for s in steps[:-2]])
 
@@ -421,8 +403,6 @@ def contains_subgeometry(h: Hypergraph, pattern: Geometry,
     n_pts = pattern.n_points
     if h.n < n_pts:
         return SubgeometryResult("no", None, 0)
-    pattern_lines = [tuple(bits(lm)) for lm in pattern.line_point_incidence]
     deadline = time.monotonic() + budget if budget is not None else None
-    if h.spec is not None and not force_generic:
-        return _search_colored(h, pattern_lines, n_pts, deadline)
-    return _search_generic(h, pattern_lines, n_pts, deadline)
+    search = _search_generic if h.spec is None or force_generic else _search_colored
+    return search(h, pattern.line_point_incidence, n_pts, deadline)

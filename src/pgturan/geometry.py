@@ -16,6 +16,7 @@ from functools import lru_cache
 from .gf import FieldTable, FieldError, make_field, format_element, parse_element
 
 MAX_GEOMETRY_Q = 16
+MAX_GEOMETRY_POINTS = 1500      # PG(3,11) has 1464 points, PG(5,4) 1365
 
 
 class GeometryError(ValueError):
@@ -120,12 +121,17 @@ def build_geometry(m: int, q: int) -> Geometry:
     if q > MAX_GEOMETRY_Q:
         raise GeometryError(f"geometry construction supports q <= {MAX_GEOMETRY_Q}")
     p, k = factor_prime_power(q)
+    n = 1
+    for _ in range(m):          # points of PG_i(q), i = 1..m, checked before any table
+        n = n * q + 1
+        if n > MAX_GEOMETRY_POINTS:
+            raise GeometryError(f"PG({m},{q}) has more points than the "
+                                f"{MAX_GEOMETRY_POINTS} geometry construction supports")
     f = make_field(p, k)
 
     coord_list = _enumerate_points(f, m)
     point_index = {c: i for i, c in enumerate(coord_list)}
-    n = len(coord_list)
-    assert n == sum(q ** i for i in range(m + 1))
+    assert n == len(coord_list)
 
     duals: list[tuple[int, ...]] = []
     dual_index: dict[tuple[int, ...], int] = {}

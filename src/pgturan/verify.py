@@ -3,10 +3,12 @@
 Claims are small closures over the library, identified by structural ids
 ("table1.q3.cor1", "lemma8.mincover.K1", "M.q7", ...).  Search- and
 optimizer-backed claims respect a shared time budget and report "timeout"
-instead of failing when it runs out.  Results that several claims read (the
-comparison tables, arc-partition optima, complete arcs, M(q), appendix
-sub-claims) are computed once per `build_claim_specs` call, by whichever
-claim reads them first.  Output ordering and formatting are deterministic.
+instead of failing when it runs out: a search claim does not start past the
+deadline, and every search engine it runs gets the time left of it.
+Results that several claims read (the comparison tables, arc-partition
+optima, complete arcs, M(q), appendix sub-claims) are computed once per
+`build_claim_specs` call, by whichever claim reads them first.  Output
+ordering and formatting are deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import bounds, refdata
 # render_claims lives beside Claim; it stays importable from here
-from .covering import Claim, compute_Mq, render_claims, verify_appendix
+from .covering import Claim, _time_left, compute_Mq, render_claims, verify_appendix
 from .construction import (
     build_hypergraph,
     complete_hypergraph,
@@ -40,7 +42,7 @@ class ClaimSpec:
     source: str        # reference | trivial | derived
     expected: str
     search: bool       # consumes meaningful budget; may time out
-    run: callable
+    run: callable      # () -> (computed, ok); ok is None when a search ran out of time
 
 
 def _geometry_claims(corrupt: bool = False) -> list[ClaimSpec]:
@@ -124,14 +126,14 @@ def _classification_claims(arcs, mq) -> list[ClaimSpec]:
     return claims
 
 
-def _blocking_claims() -> list[ClaimSpec]:
+def _blocking_claims(time_left) -> list[ClaimSpec]:
     rows = [(2, None, "derived"), (3, 7, "derived"), (4, 14, "derived")]
     claims = []
     for q, expect, src in rows:
         def run(q=q, expect=expect):
-            res = max_blocking_set_size(build_geometry(2, q), budget=120)
+            res = max_blocking_set_size(build_geometry(2, q), budget=time_left())
             got = res.size
-            return str(got), (got == expect and res.exact)
+            return str(got), (got == expect if res.exact else None)
         claims.append(ClaimSpec(f"blocking.max.q{q}", f"blocking sets q={q}", src,
                                 str(expect), True, run))
     return claims
@@ -143,7 +145,7 @@ def _mq_claims(mq) -> list[ClaimSpec]:
         def run(q=q, expect=expect):
             rep = mq(q)
             certif = all(c.cover.optimal for c in rep.per_class)
-            return str(rep.M_q), rep.M_q == expect and certif
+            return str(rep.M_q), (rep.M_q == expect if certif else None)
         claims.append(ClaimSpec(f"M.q{q}", f"passant covers q={q}", "reference",
                                 str(expect), True, run))
     return claims
@@ -154,15 +156,18 @@ def _appendix_claims(appendix) -> list[ClaimSpec]:
     for which, lemma, floor_val in (("A", "lemma8", 6), ("B", "lemma9", 7)):
         def run(which=which):
             sub = appendix(which)
-            bad = [c.claim_id for c in sub if c.status != "pass"]
+            bad = [c.claim_id for c in sub if c.status == "fail"]
+            late = any(c.status == "timeout" for c in sub)
             return (f"{len(sub)} claims, failing: {bad or 'none'}",
-                    not bad)
+                    None if late and not bad else not bad)
         claims.append(ClaimSpec(f"appendix{which}.all", f"appendix {which}",
                                 "reference", "all claims reproduce", True, run))
 
         def run_mincover(which=which, floor_val=floor_val):
-            worst = min(int(c.computed) for c in appendix(which)
-                        if c.claim_id.endswith(".mincover"))
+            covers = [c for c in appendix(which) if c.claim_id.endswith(".mincover")]
+            worst = min(int(c.computed) for c in covers)
+            if any(c.status == "timeout" for c in covers):
+                return str(worst), None     # an unproven incumbent bounds nothing
             return str(worst), worst >= floor_val
         claims.append(ClaimSpec(f"{lemma}.mincover", f"appendix {which}", "reference",
                                 f">= {floor_val}", True, run_mincover))
@@ -241,23 +246,22 @@ def _closed_form_claims() -> list[ClaimSpec]:
     return claims
 
 
-def _freeness_claims() -> list[ClaimSpec]:
+def _freeness_claims(time_left) -> list[ClaimSpec]:
+    def search(h, q, want):
+        res = contains_subgeometry(h, build_geometry(2, q), budget=time_left())
+        return res.status, (None if res.status == "timeout" else res.status == want)
+
     def fano_yes():
-        res = contains_subgeometry(complete_hypergraph(7, 3), build_geometry(2, 2))
-        return res.status, res.status == "yes"
+        return search(complete_hypergraph(7, 3), 2, "yes")
 
     def t2_free():
-        spec = make_partition(14, 2, 2, "t2", (1 / 12,), k=0)
-        res = contains_subgeometry(build_hypergraph(spec), build_geometry(2, 2),
-                                   budget=600)
-        return res.status, res.status == "no"
+        return search(build_hypergraph(make_partition(14, 2, 2, "t2", (1 / 12,), k=0)),
+                      2, "no")
 
     def t3_free():
         spec = make_partition(16, 3, 2, "t3",
                               (0.5948588940, 0.3216013121, 0.0835397939), M=2)
-        res = contains_subgeometry(build_hypergraph(spec), build_geometry(2, 3),
-                                   budget=600)
-        return res.status, res.status == "no"
+        return search(build_hypergraph(spec), 3, "no")
 
     return [
         ClaimSpec("freeness.k7.contains", "embedding search", "trivial", "yes",
@@ -269,8 +273,15 @@ def _freeness_claims() -> list[ClaimSpec]:
     ]
 
 
-def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
-    """The claim catalog, with one fresh memo of the results its claims share."""
+def build_claim_specs(corrupt_field: bool = False,
+                      deadline: float | None = None) -> list[ClaimSpec]:
+    """The claim catalog, with one fresh memo of the results its claims share.
+
+    Every search engine a claim runs gets the time left before `deadline`
+    (a `time.monotonic()` reading; None is no limit).
+    """
+    time_left = functools.partial(_time_left, deadline)
+
     @functools.cache
     def tables():
         return {name: {r.q: r for r in rows}
@@ -286,11 +297,12 @@ def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
 
     @functools.cache
     def mq(q):
-        return compute_Mq(build_geometry(2, q), arcs=arcs(q))
+        return compute_Mq(build_geometry(2, q), budget=time_left(), arcs=arcs(q))
 
     @functools.cache
     def appendix(which):
-        return verify_appendix(build_geometry(2, {"A": 7, "B": 8}[which]), which)
+        return verify_appendix(build_geometry(2, {"A": 7, "B": 8}[which]), which,
+                               budget=time_left())
 
     claims = []
     claims += _geometry_claims(corrupt=corrupt_field)
@@ -299,10 +311,10 @@ def build_claim_specs(corrupt_field: bool = False) -> list[ClaimSpec]:
     claims += _optima_claims(optima)
     claims += _table_claims(tables)
     claims += _classification_claims(arcs, mq)
-    claims += _blocking_claims()
+    claims += _blocking_claims(time_left)
     claims += _mq_claims(mq)
     claims += _appendix_claims(appendix)
-    claims += _freeness_claims()
+    claims += _freeness_claims(time_left)
     return claims
 
 
@@ -311,8 +323,9 @@ def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[
 
     A shared result is charged to the `seconds` of the first claim that reads it.
     """
-    specs = build_claim_specs(corrupt_field=corrupt_field)
     start = time.monotonic()
+    specs = build_claim_specs(corrupt_field=corrupt_field,
+                              deadline=None if budget is None else start + budget)
 
     def execute(spec: ClaimSpec) -> Claim:
         elapsed = time.monotonic() - start
@@ -322,7 +335,7 @@ def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[
         t0 = time.perf_counter()
         try:
             computed, ok = spec.run()
-            status = "pass" if ok else "fail"
+            status = "timeout" if ok is None else "pass" if ok else "fail"
         except Exception as exc:  # report, never crash the harness
             computed, status = f"error: {exc}", "fail"
         return Claim(spec.claim_id, spec.anchor, spec.source,

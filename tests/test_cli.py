@@ -45,6 +45,17 @@ def test_geometry_json_and_csv(capsys):
     assert lines[1:3] == ["0,0 1 6,[0,1,0]", "1,0 2 4,[0,0,1]"]
 
 
+def test_geometry_beyond_the_point_limit_exits_one(capsys):
+    # PG(4,16) has 69,905 points and PG(30,2) 2^31 - 1: both are refused
+    # before any table is built
+    for m, q in (("4", "16"), ("30", "2")):
+        assert main(["geometry", "--m", m, "--q", q]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: PG({m},{q}) has more points than the 1500 "
+                                "geometry construction supports\n")
+
+
 def test_arcs_classify(capsys):
     code, out = run(capsys, "arcs", "--q", "5", "--classify")
     assert code == 0
@@ -223,6 +234,34 @@ def test_verify_zero_budget_times_out_searches(capsys):
     assert by_id["table2.q23"]["status"] == "timeout"
     assert by_id["closedform.t.m2q3"]["status"] == "pass"
     assert by_id["poly.q7.coeffs"]["status"] == "pass"
+
+
+def test_verify_all_gives_every_search_the_time_left(monkeypatch):
+    # each engine records the budget it gets, then runs out of time at once
+    given = {}
+
+    def recording(name, engine):
+        def wrapper(*args, budget=None, **kwargs):
+            given.setdefault(name, []).append(budget)
+            return engine(*args, budget=0, **kwargs)
+        monkeypatch.setattr(verify, name, wrapper)
+
+    for name in ("max_blocking_set_size", "compute_Mq", "verify_appendix",
+                 "contains_subgeometry"):
+        recording(name, getattr(verify, name))
+    claims = {c.claim_id: c for c in verify.run_all(budget=60)}
+    assert sorted(given) == ["compute_Mq", "contains_subgeometry",
+                             "max_blocking_set_size", "verify_appendix"]
+    assert all(0 < b <= 60 for budgets in given.values() for b in budgets)
+    assert len(given["compute_Mq"]) == 5 and len(given["contains_subgeometry"]) == 3
+    timed_out = [cid for cid, c in claims.items() if c.status == "timeout"]
+    assert timed_out == sorted(
+        [f"blocking.max.q{q}" for q in (2, 3, 4)] + [f"M.q{q}" for q in refdata.MQ_VALUES]
+        + ["appendixA.all", "appendixB.all", "lemma8.mincover", "lemma9.mincover"]
+        + ["freeness.k7.contains", "freeness.t2.q2n14", "freeness.t3.q3n16"])
+    assert all(claims[cid].computed != "(not run)" for cid in timed_out)
+    # the classification claims read only the classes of a timed-out M(q)
+    assert claims["classes.sixarcs.q7"].status == "pass"
 
 
 def test_verify_deterministic_output(capsys):

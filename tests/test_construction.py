@@ -22,7 +22,7 @@ from pgturan.construction import (
     part_pattern,
 )
 from pgturan.bounds import theorem2_polynomial, theorem3_polynomial
-from pgturan.geometry import bits, build_geometry
+from pgturan.geometry import bits, build_geometry, mask_of
 
 
 def random_spec(rng, q=None):
@@ -165,10 +165,10 @@ def test_every_edge_respects_scheme():
         part_of = spec.part_of_vertex()
         for e in h.edges:
             counts = [0] * len(spec.sizes)
-            for v in e:
+            for v in bits(e):
                 counts[part_of[v]] += 1
             assert spec.edge_ok(counts)
-            assert len(e) == spec.r
+            assert e.bit_count() == spec.r
 
 
 def scheme_edge_rule(scheme, q, counts):
@@ -328,12 +328,143 @@ def test_arc_partition_host_is_free():
     assert res.status == "no"
 
 
+def pattern_order_reference(n_points, lines):
+    """The point order over Python sets, kept as the reference for the mask
+    form of `_pattern_order`.  `lines` are point-id tuples."""
+    remaining = set(range(n_points))
+    order = []
+    placed = set()
+
+    def gain(p):
+        closes = sum(1 for ln in lines if p in ln and all(x in placed or x == p for x in ln))
+        almost = sum(1 for ln in lines if p in ln
+                     and sum(1 for x in ln if x in placed) == len(ln) - 2)
+        support = sum(1 for ln in lines if p in ln
+                      and any(x in placed for x in ln))
+        return (closes, almost, support)
+
+    # seed with every point of the lexicographically first line
+    first = min(lines, key=lambda ln: tuple(ln))
+    for p in sorted(first):
+        order.append(p)
+        placed.add(p)
+        remaining.discard(p)
+    while remaining:
+        best = max(sorted(remaining), key=gain)
+        order.append(best)
+        placed.add(best)
+        remaining.discard(best)
+    return order
+
+
+def line_tuples(g):
+    return [tuple(bits(ln)) for ln in g.line_point_incidence]
+
+
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_pattern_order_matches_set_reference(m, q):
+    g = build_geometry(m, q)
+    want = pattern_order_reference(g.n_points, line_tuples(g))
+    assert _pattern_order(g.n_points, g.line_point_incidence) == want
+    assert sorted(want) == list(range(g.n_points))
+
+
+def search_colored_reference(h, pattern_lines, n_pts):
+    """The part-count search that recounts every part on every line through
+    the new point, kept as the reference for the search that checks only the
+    part that changed.  Also returns the parts above X whose cap cut a
+    branch.  `pattern_lines` are point-id tuples."""
+    sizes, caps = h.spec.sizes, h.spec.caps
+    n_parts = len(sizes)
+    order = pattern_order_reference(n_pts, pattern_lines)
+    lines_through = [[ln for ln in pattern_lines if p in ln] for p in range(n_pts)]
+    color = [-1] * n_pts
+    used = [0] * n_parts
+    nodes = 0
+    cut_parts = set()
+
+    def feasible_partial(p_new):
+        for ln in lines_through[p_new]:
+            counts = [0] * n_parts
+            mapped = 0
+            for p in ln:
+                part = color[p]
+                if part >= 0:
+                    counts[part] += 1
+                    if counts[part] > caps[part]:
+                        if part:
+                            cut_parts.add(part)
+                        return False
+                    mapped += 1
+            if mapped == len(ln) and counts[0] == 0:
+                return False
+        return True
+
+    def rec(step):
+        nonlocal nodes
+        if step == n_pts:
+            return True
+        nodes += 1
+        p = order[step]
+        for part in range(n_parts):
+            if used[part] >= sizes[part]:
+                continue
+            color[p] = part
+            used[part] += 1
+            if feasible_partial(p) and rec(step + 1):
+                return True
+            used[part] -= 1
+            color[p] = -1
+        return False
+
+    if not rec(0):
+        return ("no", nodes, None), cut_parts
+    next_free = [sum(sizes[:i]) for i in range(n_parts)]
+    witness = {}
+    for p in order:
+        witness[p] = next_free[color[p]]
+        next_free[color[p]] += 1
+    return ("yes", nodes, witness), cut_parts
+
+
+def inflated_arc_spec(rng):
+    """A q=3 arc partition with X near 7 vertices and four or five parts,
+    which mostly admits a copy of PG(2,3)."""
+    n = rng.randint(13, 15)
+    M = rng.randint(4, 5)
+    alpha = rng.uniform(6.6, 7.4) / n
+    gamma = rng.uniform(1.0, 1.2) / n
+    return make_partition(n, 3, 2, "t3", (alpha, 1 - alpha - (M - 1) * gamma, gamma), M=M)
+
+
+def test_part_search_matches_full_recount_on_partition_hosts():
+    rng = random.Random(47)
+    specs = []
+    while len(specs) < 24:
+        spec = random_spec(rng)[2]
+        if spec.n >= spec.q * spec.q + spec.q + 1:    # smaller hosts skip the search
+            specs.append(spec)
+    specs += [inflated_arc_spec(rng) for _ in range(8)]
+    statuses, cut = [], False
+    for spec in specs:
+        h = build_hypergraph(spec)
+        g = build_geometry(2, spec.q)
+        res = contains_subgeometry(h, g)
+        want, cut_parts = search_colored_reference(h, line_tuples(g), g.n_points)
+        assert (res.status, res.nodes, res.witness) == want, spec
+        statuses.append(want[0])
+        cut = cut or bool(cut_parts)
+    assert statuses.count("yes") >= 4 and statuses.count("no") >= 20
+    assert cut      # some cap above X's pruned a branch
+
+
 def search_generic_reference(h, pattern_lines, n_pts, deadline=None):
     """The generic embedding search over frozenset edges, kept as the oracle
     for the bitmask search: same point order, vertex order and forward check,
-    so it must agree on status, node count and witness."""
-    edge_set = {frozenset(e) for e in h.edges}
-    order = _pattern_order(n_pts, pattern_lines)
+    so it must agree on status, node count and witness.  `pattern_lines` are
+    point-id tuples."""
+    edge_set = {frozenset(bits(e)) for e in h.edges}
+    order = pattern_order_reference(n_pts, pattern_lines)
     pos = {p: i for i, p in enumerate(order)}
     closing = [[] for _ in range(n_pts)]     # lines fully mapped at this step
     pending = [[] for _ in range(n_pts)]     # lines missing one point after this step
@@ -394,8 +525,7 @@ def search_generic_reference(h, pattern_lines, n_pts, deadline=None):
 
 def assert_generic_matches_reference(h, pattern):
     res = contains_subgeometry(h, pattern, force_generic=True)
-    lines = [tuple(bits(ln)) for ln in pattern.line_point_incidence]
-    want = search_generic_reference(h, lines, pattern.n_points)
+    want = search_generic_reference(h, line_tuples(pattern), pattern.n_points)
     assert (res.status, res.nodes, res.witness) == want
     return want
 
@@ -407,7 +537,8 @@ def test_generic_search_matches_reference_on_random_hosts():
     for _ in range(40):
         n = rng.randint(7, 11)
         density = rng.choice([0.3, 0.5, 0.7, 0.9])
-        edges = [e for e in itertools.combinations(range(n), 3) if rng.random() < density]
+        edges = [mask_of(e) for e in itertools.combinations(range(n), 3)
+                 if rng.random() < density]
         statuses.append(assert_generic_matches_reference(Hypergraph(n=n, r=3, edges=edges),
                                                          fano)[0])
     assert {"yes", "no"} <= set(statuses)
@@ -484,7 +615,7 @@ def test_generic_search_agrees_with_part_search():
             continue
         b = contains_subgeometry(h, g3, force_generic=True)
         assert b.status == "yes", spec
-        edges = {frozenset(e) for e in h.edges}
+        edges = {frozenset(bits(e)) for e in h.edges}
         for res in (a, b):
             assert len(set(res.witness.values())) == g3.n_points
             for line in g3.line_point_incidence:
