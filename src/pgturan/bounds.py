@@ -615,7 +615,6 @@ def reproduce_arc_optima() -> list[dict]:
             "value": res.value,
             "argmax": res.argmax,
             "printed_value": printed_val,
-            "printed_argmax": target,
             "value_ok": abs(res.value - float(printed_val)) <= 1e-8,
             "argmax_ok": all(
                 abs(res.argmax[n] - target[n]) <= 1e-4 for n in target

@@ -78,8 +78,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     from a greedy incumbent.  Each node branches on the uncovered line with
     the fewest points (lowest index on ties), trying its points in ascending
     index order; once the branch that picks p returns, p is banned in the
-    later sibling branches, and a node dies as soon as some uncovered line
-    has no unbanned point left.  The bound is top-k coverage: prune when the
+    later sibling branches.  The bound is top-k coverage: prune when the
     `best_size - depth - 1` unbanned points that meet the most uncovered
     lines cannot meet them all.
 
@@ -92,9 +91,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     byte in `live` and in the counts, so a banned point counts 0.  The bound
     walks the count levels from the largest root count down, counting the
     bytes at each level, until k points are taken or their sum reaches the
-    uncovered count.  A node likewise inherits the lines its parent's bans
-    left without an unbanned point, instead of rescanning every uncovered
-    line.
+    uncovered count.
 
     The witness is the greedy cover when that is optimal, and otherwise the
     first optimal cover in the unpruned branching order, so pruning never
@@ -157,8 +154,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     best_size = len(greedy)
     best_set = mask_of(greedy)
 
-    def search(chosen: int, rem: int, banned: int, live: int, depth: int,
-               count: int, dead: int):
+    def search(chosen: int, rem: int, banned: int, live: int, depth: int, count: int):
         nonlocal best_size, best_set, nodes, timed_out
         nodes += 1
         # the deadline is read at the root and then every 4096 nodes
@@ -169,9 +165,6 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         if not rem:
             if depth < best_size:
                 best_size, best_set = depth, chosen
-            return
-        # an uncovered line whose points are all banned can no longer be met
-        if dead & rem:
             return
         # top-k bound: the best_size - depth - 1 unbanned points that meet the
         # most uncovered lines must together meet them all
@@ -197,30 +190,23 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
             if open_lines:
                 break
         pick = (open_lines & -open_lines).bit_length() - 1
-        dead = 0  # uncovered lines this node's own bans leave unmeetable
         for p in bits(fam[pick] & ~banned):
-            met = cover_of[p] & rem  # the lines p newly covers
-            # bits() written out: these two loops run once per child
-            drop, m = 0, met
+            # drop the lines p newly covers; bits() written out, as this
+            # loop runs once per child
+            drop, m = 0, cover_of[p] & rem
             while m:
                 low = m & -m
                 drop += ones[low.bit_length() - 1]
                 m ^= low
             search(chosen | (1 << p), rem & ~cover_of[p], banned, live, depth + 1,
-                   count - (drop & live), dead)
+                   count - (drop & live))
             if timed_out:
                 return
             banned |= 1 << p  # later branches must meet the line elsewhere
             live &= ~(0xFF * one_of[p])
             count &= live
-            m = met
-            while m:
-                low = m & -m
-                if not fam[low.bit_length() - 1] & ~banned:
-                    dead |= low
-                m ^= low
 
-    search(0, all_lines, 0, (1 << 8 * n_points) - 1, 0, root, 0)
+    search(0, all_lines, 0, (1 << 8 * n_points) - 1, 0, root)
     return HittingSetResult(best_size, best_set, not timed_out, nodes)
 
 
@@ -321,10 +307,6 @@ class Claim:
     computed: str
     status: str          # pass | fail | timeout
     seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
 
 
 def render_claims(claims: list[Claim], fmt: str = "json",

@@ -73,10 +73,10 @@ def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
     Each node carries two line masks: `uncov`, the lines with no chosen
     point, and `touched`, the lines through some banned point.  Only a line
     through the newest point can have become full, and only a line of
-    `uncov & touched` can be dead or have fewer than q+1 candidates; when
-    there is none, the lowest uncovered line is the branch line.  The bound
-    is tested before the dead-line scan: both only cut the node, so the
-    order changes no count.
+    `uncov & touched` can have fewer than q+1 candidates; when there is
+    none, the lowest uncovered line is the branch line.  A line with no
+    candidate left has the fewest, so it becomes the branch line and its
+    node has no child.
     """
     q = g.q
     lines = g.line_point_incidence
@@ -112,8 +112,6 @@ def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
         while scan:
             low = scan & -scan
             opts = lines[low.bit_length() - 1] & ~banned
-            if opts == 0:
-                return None  # a dead line: no candidate point is left on it
             c = opts.bit_count()
             if picked_opts is None or c < picked_opts:
                 picked, picked_opts = opts, c

@@ -5,7 +5,8 @@ from collections import Counter
 
 from pgturan import bounds, covering, refdata, verify
 from pgturan.cli import main
-from pgturan.geometry import build_geometry, point_of
+from pgturan.construction import build_hypergraph, make_partition
+from pgturan.geometry import bits, build_geometry, point_of
 from pgturan.structures import mask_of
 
 
@@ -106,6 +107,21 @@ def test_bounds_commands(capsys):
     assert searched == out          # M(3) = 2 is found by the cover search
 
 
+def test_bounds_binary_upper_for_q2(capsys):
+    code, out = run(capsys, "bounds", "--theorem", "1", "--m", "3", "--q", "2")
+    assert code == 0
+    upper = json.loads(out)["binary_upper"]
+    assert upper["fraction"] == "20/21"
+    assert upper["fraction"] == str(refdata.CLOSED_FORMS["binary_upper_m3"])
+
+
+def test_blocking_zero_budget_prints_a_timeout(capsys):
+    code, out = run(capsys, "blocking", "--q", "5", "--budget", "0")
+    assert code == 0
+    assert json.loads(out) == {"m": 2, "q": 5, "exact": False, "explored_nodes": 1,
+                               "maximum": None, "note": "timeout"}
+
+
 def test_bounds_rejects_a_chromatic_number_of_zero(capsys):
     for chi in ("0", "1"):
         code = main(["bounds", "--theorem", "1", "--q", "3", "--chi", chi])
@@ -148,6 +164,21 @@ def test_freeness_command(capsys):
     assert data["contains_pattern"] == "no"
     assert data["count_exact"] == data["edges"]
     assert data["displayed_lower_bound"] <= data["count_exact"]
+
+
+def test_freeness_prints_a_witness(capsys):
+    # three z parts make room for a PG(2,3) copy
+    code, out = run(capsys, "freeness", "--scheme", "t3", "--q", "3", "--n", "16",
+                    "--M", "3", "--rates", "0.5,0.3,0.1")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["contains_pattern"], data["nodes"]) == ("yes", 180)
+    image = {int(p): v for p, v in data["witness"].items()}
+    assert sorted(image) == list(range(13))
+    assert len(set(image.values())) == 13
+    edges = set(build_hypergraph(make_partition(16, 3, 2, "t3", (0.5, 0.3, 0.1), M=3)).edges)
+    assert all(mask_of(image[p] for p in bits(line)) in edges
+               for line in build_geometry(2, 3).line_point_incidence)
 
 
 def test_freeness_accepts_a_rate_just_below_zero(capsys):
@@ -199,6 +230,26 @@ def test_verify_appendix_output_shape(capsys):
     assert "appendixA.K1.mincover" in ids
     assert all(c["source"] in ("reference", "trivial", "derived")
                for c in data["claims"])
+
+
+def test_verify_appendix_markdown(capsys):
+    code, out = run(capsys, "verify", "appendix-a", "--format", "md")
+    assert code == 0
+    _, js = run(capsys, "verify", "appendix-a")
+    claims = json.loads(js)["claims"]
+    lines = out.splitlines()
+    assert lines[:2] == ["| claim | expected | computed | status |", "|---|---|---|---|"]
+    assert lines[2:] == [f"| {c['claim']} | {c['expected']} | {c['computed']} | "
+                         f"{c['status']} |" for c in claims]
+
+
+def test_verify_appendix_timings_add_seconds(capsys):
+    _, plain = run(capsys, "verify", "appendix-b")
+    code, timed = run(capsys, "verify", "appendix-b", "--timings")
+    assert code == 0
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert all(isinstance(row.pop("seconds"), float) for row in timed["claims"])
+    assert timed == plain
 
 
 def test_verify_appendix_passes_the_budget(monkeypatch, capsys):

@@ -562,6 +562,15 @@ def test_generic_search_zero_budget_times_out():
     assert (res.status, res.nodes, res.witness) == ("timeout", 1, None)
 
 
+def test_generic_search_times_out_at_its_first_periodic_read(stalled_clock):
+    # the clock passes the deadline after the root read; the generic search
+    # reads it every 1024 nodes
+    h = build_hypergraph(make_partition(11, 2, 2, "t2", (1 / 12,), k=0))
+    stalled_clock("pgturan.construction")
+    res = contains_subgeometry(h, build_geometry(2, 2), budget=1, force_generic=True)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 1024, None)
+
+
 def test_generic_search_zero_budget_stops_before_an_easy_yes():
     # K_7^3 holds a Fano plane within 7 nodes, before any periodic read
     res = contains_subgeometry(complete_hypergraph(7, 3), build_geometry(2, 2), budget=0)
@@ -672,3 +681,14 @@ def test_zero_budget_times_out():
     h = build_hypergraph(spec)
     res = contains_subgeometry(h, build_geometry(2, 3), budget=0)
     assert (res.status, res.nodes, res.witness) == ("timeout", 1, None)
+
+
+def test_colored_search_times_out_at_its_first_periodic_read(stalled_clock):
+    # the clock passes the deadline after the root read; the colored search
+    # reads it every 2048 nodes, and this host needs 4526 to say no
+    spec = make_partition(16, 3, 2, "t3",
+                          (0.5948588940, 0.3216013121, 0.0835397939), M=2)
+    h = build_hypergraph(spec)
+    stalled_clock("pgturan.construction")
+    res = contains_subgeometry(h, build_geometry(2, 3), budget=1)
+    assert (res.status, res.nodes, res.witness) == ("timeout", 2048, None)

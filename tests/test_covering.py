@@ -137,11 +137,14 @@ def test_mq_witness_covers_pinned(q):
     assert got == PRINTED_COVERS[q]
 
 
-def min_hitting_set_reference(universe, family, budget=None):
+def min_hitting_set_reference(universe, family, budget=None, dead_lines=False):
     """The hitting-set kernel that recounts every unbanned point's uncovered
     lines at each node, kept as the oracle for the incremental counts: same
     branching, bound and deadline, so it must agree on size, witness and
-    node count."""
+    node count.
+
+    `dead_lines=True` adds a rule the kernel omits: a node dies as soon as
+    some uncovered line has no unbanned point left."""
     fam = [lm & universe for lm in family]
     if not fam:
         return HittingSetResult(0, 0, True, 1)
@@ -186,12 +189,12 @@ def min_hitting_set_reference(universe, family, budget=None):
             if depth < best_size:
                 best_size, best_set = depth, chosen
             return
-        # branch on the uncovered line with fewest candidate points; a line
-        # whose points are all banned can no longer be met
+        # branch on the uncovered line with fewest candidate points; with
+        # dead_lines, a line whose points are all banned ends the node
         rem = all_lines & ~covered
         pick, pick_sz = None, None
         for i in bits(rem):
-            if not fam[i] & ~banned:
+            if dead_lines and not fam[i] & ~banned:
                 return
             if pick_sz is None or fam_size[i] < pick_sz:
                 pick, pick_sz = i, fam_size[i]
@@ -227,17 +230,29 @@ def test_frame_anchored_q9_arcs_need_eight_points(q9_frame_arcs):
 
 
 def assert_matches_reference(universe, family):
+    """The kernel equals the reference; returns the kernel's result and the
+    reference's with the dead-line rule."""
     got = min_hitting_set(universe, family)
     want = min_hitting_set_reference(universe, family)
     assert (got.minimum_size, got.witness, got.explored_nodes) == \
         (want.minimum_size, want.witness, want.explored_nodes)
+    return got, min_hitting_set_reference(universe, family, dead_lines=True)
+
+
+def assert_dead_lines_cut_nothing(universe, family):
+    # every line of a plane-arc family is a passant: q+1 points off the arc,
+    # so no line can lose its last candidate before depth q+1
+    got, dead = assert_matches_reference(universe, family)
+    assert (dead.minimum_size, dead.witness, dead.explored_nodes) == \
+        (got.minimum_size, got.witness, got.explored_nodes)
 
 
 def test_hitting_set_matches_reference_on_q9_arcs(q9_frame_arcs):
     g, arcs = q9_frame_arcs
     for arc in arcs:
-        assert_matches_reference(g.all_points_mask & ~arc.mask,
-                                 [g.line_point_incidence[lid] for lid in bits(arc.passants)])
+        assert_dead_lines_cut_nothing(
+            g.all_points_mask & ~arc.mask,
+            [g.line_point_incidence[lid] for lid in bits(arc.passants)])
 
 
 @pytest.mark.parametrize("q,step", [(7, 1), (8, 1), (11, 40)])
@@ -247,8 +262,9 @@ def test_hitting_set_matches_reference_on_plane_arcs(q, step):
     arcs = enumerate_complete_arcs(g, force=True)[::step]
     assert arcs
     for arc in arcs:
-        assert_matches_reference(g.all_points_mask & ~arc.mask,
-                                 [g.line_point_incidence[lid] for lid in bits(arc.passants)])
+        assert_dead_lines_cut_nothing(
+            g.all_points_mask & ~arc.mask,
+            [g.line_point_incidence[lid] for lid in bits(arc.passants)])
 
 
 def test_greedy_tie_takes_the_lower_point():
@@ -270,14 +286,20 @@ def test_point_on_more_than_255_members_rejected():
 
 
 def test_hitting_set_matches_reference_on_short_lines():
-    # short lines sharing points make the bound and the dead-line exit bite
-    # often, so a stale count or a missed dead line changes node counts here
+    # short lines sharing points make the bound bite often, so a stale count
+    # changes node counts here; they are also the only families where the
+    # dead-line rule cuts nodes, and it changes no size or witness
     rng = random.Random(1)
+    nodes = dead_nodes = 0
     for _ in range(1000):
         n = rng.randint(6, 20)
         family = [mask_of(rng.sample(range(n), rng.randint(2, max(2, n // 3))))
                   for _ in range(rng.randint(5, 30))]
-        assert_matches_reference((1 << n) - 1, family)
+        got, dead = assert_matches_reference((1 << n) - 1, family)
+        assert (dead.minimum_size, dead.witness) == (got.minimum_size, got.witness)
+        nodes += got.explored_nodes
+        dead_nodes += dead.explored_nodes
+    assert (nodes, dead_nodes) == (10_472, 10_441)
 
 
 def test_mq_report_bounds():
@@ -392,6 +414,19 @@ def test_hitting_set_zero_budget_stops_at_root():
     res = min_hitting_set(0b1111, family, budget=0)
     assert (res.optimal, res.explored_nodes) == (False, 1)
     assert min_hitting_set(0b1111, family).optimal
+
+
+def test_hitting_set_times_out_at_its_first_periodic_read(stalled_clock):
+    # this family needs 8,867 nodes; the clock passes the deadline after the
+    # root read, so the search stops at the read of node 4096
+    rng = random.Random(1)
+    family = [mask_of(rng.sample(range(40), 4)) for _ in range(60)]
+    stalled_clock("pgturan.covering")
+    res = min_hitting_set((1 << 40) - 1, family, budget=1)
+    assert (res.optimal, res.explored_nodes) == (False, 4096)
+    # the incumbent is still a cover of its stated size
+    assert res.witness.bit_count() == res.minimum_size
+    assert all(res.witness & lm for lm in family)
 
 
 def test_zero_budget_bounds_the_whole_call():

@@ -159,6 +159,14 @@ def test_blocking_search_zero_budget_times_out():
     assert (res.size, res.witness, res.exact, res.explored_nodes) == (None, 0, False, 1)
 
 
+def test_blocking_search_times_out_at_its_first_periodic_read(stalled_clock):
+    # the clock passes the deadline after the root read; the q=5 search
+    # needs 148,865 nodes, so it stops at the read of node 4096
+    stalled_clock("pgturan.structures")
+    res = max_blocking_set_size(build_geometry(2, 5), budget=1)
+    assert (res.size, res.witness, res.exact, res.explored_nodes) == (None, 0, False, 4096)
+
+
 def test_blocking_search_zero_budget_stops_before_a_short_search_ends():
     # the q=3 search ends after 490 nodes, before any periodic read
     res = max_blocking_set_size(build_geometry(2, 3), budget=0)
