@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Geometry, bits, mask_of
+from .geometry import Geometry, SearchTimeout, bits, mask_of
 
 
 class ConstructionError(ValueError):
@@ -275,17 +275,15 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
 
     members = [0] * len(sizes)
     nodes = 0
-    out_status = "no"
 
     def rec(step: int) -> bool:
-        nonlocal nodes, out_status
+        nonlocal nodes
         if step == n_pts:
             return True
         nodes += 1
         if (deadline is not None and (nodes == 1 or nodes % 2048 == 0)
                 and time.monotonic() > deadline):
-            out_status = "timeout"
-            return False
+            raise SearchTimeout(nodes)
         pb = 1 << order[step]
         for part, (size, cap) in enumerate(zip(sizes, caps)):
             m = members[part]
@@ -298,8 +296,6 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
             if all(ln & members[0] for ln in closing[step]) and rec(step + 1):
                 return True
             members[part] = m ^ pb
-            if out_status == "timeout":
-                return False
         return False
 
     if rec(0):
@@ -308,7 +304,7 @@ def _search_colored(h: Hypergraph, pattern_lines, n_pts: int,
         witness = {p: start + i for start, m in zip(starts, members)
                    for i, p in enumerate(sorted(bits(m), key=order.index))}
         return SubgeometryResult("yes", witness, nodes)
-    return SubgeometryResult(out_status, None, nodes)
+    return SubgeometryResult("no", None, nodes)
 
 
 def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
@@ -341,17 +337,15 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
     all_vertices = (1 << h.n) - 1
     get = completions.get
     nodes = 0
-    out_status = "no"
 
     def rec(step: int, used: int) -> bool:
-        nonlocal nodes, out_status
+        nonlocal nodes
         if step == n_pts:
             return True
         nodes += 1
         if (deadline is not None and (nodes == 1 or nodes % 1024 == 0)
                 and time.monotonic() > deadline):
-            out_status = "timeout"
-            return False
+            raise SearchTimeout(nodes)
         unused = all_vertices & ~used
         cand = unused
         for others in closing[step]:
@@ -378,14 +372,12 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
                 image[p] = vb
                 if rec(step + 1, used | vb):
                     return True
-                if out_status == "timeout":
-                    return False
         return False
 
     if rec(0, 0):
         return SubgeometryResult("yes", {p: image[p].bit_length() - 1 for p in range(n_pts)},
                                  nodes)
-    return SubgeometryResult(out_status, None, nodes)
+    return SubgeometryResult("no", None, nodes)
 
 
 def contains_subgeometry(h: Hypergraph, pattern: Geometry,
@@ -394,9 +386,9 @@ def contains_subgeometry(h: Hypergraph, pattern: Geometry,
     """Search for a copy of the geometry inside the hypergraph.
 
     A witness is an injection of pattern points into host vertices mapping
-    every line to an edge; "no" is only reported on exhausted search.
-    Partition-built hosts use the part-count factorization unless
-    force_generic is set.
+    every line to an edge; "no" is only reported on exhausted search, and
+    "timeout" when the search passes its deadline first.  Partition-built
+    hosts use the part-count factorization unless force_generic is set.
     """
     if pattern.q + 1 != h.r:
         raise ConstructionError("pattern uniformity differs from the host's")
@@ -405,4 +397,7 @@ def contains_subgeometry(h: Hypergraph, pattern: Geometry,
         return SubgeometryResult("no", None, 0)
     deadline = time.monotonic() + budget if budget is not None else None
     search = _search_generic if h.spec is None or force_generic else _search_colored
-    return search(h, pattern.line_point_incidence, n_pts, deadline)
+    try:
+        return search(h, pattern.line_point_incidence, n_pts, deadline)
+    except SearchTimeout as stop:
+        return SubgeometryResult("timeout", None, stop.nodes)

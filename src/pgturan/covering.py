@@ -22,7 +22,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .geometry import Geometry, bits, format_coords, line_of, mask_of, point_of
+from .geometry import Geometry, SearchTimeout, bits, format_coords, line_of, mask_of, point_of
 from .structures import (
     ARC_ENUMERATION_MAX_Q,
     ArcRecord,
@@ -95,7 +95,8 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
 
     The witness is the greedy cover when that is optimal, and otherwise the
     first optimal cover in the unpruned branching order, so pruning never
-    changes it.  Raises when some line misses the universe entirely.
+    changes it.  A search past its deadline returns its incumbent with
+    optimal=False.  Raises when some line misses the universe entirely.
     """
     fam = [lm & universe for lm in family]
     for i, lm in enumerate(fam):
@@ -138,7 +139,6 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
 
     all_lines = (1 << n_fam) - 1
     nodes = 0
-    timed_out = False
 
     # greedy incumbent: most new lines covered, lowest point index on ties
     covered = 0
@@ -155,13 +155,12 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     best_set = mask_of(greedy)
 
     def search(chosen: int, rem: int, banned: int, live: int, depth: int, count: int):
-        nonlocal best_size, best_set, nodes, timed_out
+        nonlocal best_size, best_set, nodes
         nodes += 1
         # the deadline is read at the root and then every 4096 nodes
-        if timed_out or (deadline is not None and (nodes == 1 or nodes % 4096 == 0)
-                         and time.monotonic() > deadline):
-            timed_out = True
-            return
+        if (deadline is not None and (nodes == 1 or nodes % 4096 == 0)
+                and time.monotonic() > deadline):
+            raise SearchTimeout(nodes)
         if not rem:
             if depth < best_size:
                 best_size, best_set = depth, chosen
@@ -200,14 +199,15 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
                 m ^= low
             search(chosen | (1 << p), rem & ~cover_of[p], banned, live, depth + 1,
                    count - (drop & live))
-            if timed_out:
-                return
             banned |= 1 << p  # later branches must meet the line elsewhere
             live &= ~(0xFF * one_of[p])
             count &= live
 
-    search(0, all_lines, 0, (1 << 8 * n_points) - 1, 0, root)
-    return HittingSetResult(best_size, best_set, not timed_out, nodes)
+    try:
+        search(0, all_lines, 0, (1 << 8 * n_points) - 1, 0, root)
+    except SearchTimeout:
+        return HittingSetResult(best_size, best_set, False, nodes)
+    return HittingSetResult(best_size, best_set, True, nodes)
 
 
 def exhaustive_cover_exists(universe: int, family, size: int) -> bool:
@@ -323,9 +323,12 @@ def render_claims(claims: list[Claim], fmt: str = "json",
                            "failures": sum(c.status == "fail" for c in claims),
                            "timeouts": sum(c.status == "timeout" for c in claims)},
                           indent=2, ensure_ascii=False)
-    lines = ["| claim | expected | computed | status |", "|---|---|---|---|"]
+    cols = ["claim", "expected", "computed", "status"] + ["seconds"] * timings
+    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
     for c in claims:
-        lines.append(f"| {c.claim_id} | {c.expected} | {c.computed} | {c.status} |")
+        cells = [c.claim_id, c.expected, c.computed, c.status]
+        cells += [round(c.seconds, 3)] * timings
+        lines.append("| " + " | ".join(map(str, cells)) + " |")
     return "\n".join(lines)
 
 

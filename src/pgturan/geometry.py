@@ -10,6 +10,7 @@ line also has normalized dual coordinates, kept for parsing and printing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,6 +22,19 @@ MAX_GEOMETRY_POINTS = 1500      # PG(3,11) has 1464 points, PG(5,4) 1365
 
 class GeometryError(ValueError):
     pass
+
+
+class SearchTimeout(Exception):
+    """An exact search read its deadline and found it passed.
+
+    Raised from the search's deadline read with the node count as its one
+    argument; the search's public function catches it and returns its own
+    timeout result, so it never leaves the library.
+    """
+
+    @property
+    def nodes(self) -> int:
+        return self.args[0]
 
 
 def bits(mask: int):
@@ -83,20 +97,10 @@ def _normalize(f: FieldTable, vec) -> tuple[int, ...]:
     return tuple([s[c] for c in vec])
 
 
-def _enumerate_points(f: FieldTable, m: int) -> list[tuple[int, ...]]:
+def _enumerate_points(q: int, m: int) -> list[tuple[int, ...]]:
     # canonical representatives grouped by leading position: (1,*..), (0,1,*..), ...
-    q = f.q
-    pts = []
-    for lead in range(m + 1):
-        tail_len = m - lead
-        for idx in range(q ** tail_len):
-            tail = []
-            t = idx
-            for _ in range(tail_len):
-                tail.append(t % q)
-                t //= q
-            pts.append((0,) * lead + (1,) + tuple(reversed(tail)))
-    return pts
+    return [(0,) * lead + (1,) + tail for lead in range(m + 1)
+            for tail in itertools.product(range(q), repeat=m - lead)]
 
 
 def _cross(f: FieldTable, u, v) -> tuple[int, int, int]:
@@ -129,7 +133,7 @@ def build_geometry(m: int, q: int) -> Geometry:
                                 f"{MAX_GEOMETRY_POINTS} geometry construction supports")
     f = make_field(p, k)
 
-    coord_list = _enumerate_points(f, m)
+    coord_list = _enumerate_points(q, m)
     point_index = {c: i for i, c in enumerate(coord_list)}
     assert n == len(coord_list)
 

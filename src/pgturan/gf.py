@@ -77,9 +77,6 @@ class FieldTable:
             raise FieldError("inverse of zero")
         return self.inv_table[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul_table[a][self.inv(b)]
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -133,17 +130,16 @@ def _field_rows(p: int, k: int, mod: tuple[int, ...]):
     return add, mul
 
 
-def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
+def make_field(p: int, k: int = 1) -> FieldTable:
     """Build the arithmetic tables for GF(p^k).
 
-    `modulus` is a coefficient vector (lowest degree first) of a monic
-    degree-k polynomial irreducible over GF(p); for k = 1 every monic
-    x + c gives the same tables.  When omitted, GF(8) uses its fixed
+    The modulus, a coefficient vector (lowest degree first), is a monic
+    degree-k polynomial irreducible over GF(p).  GF(8) uses its fixed
     default and every other order takes the first monic polynomial, in
     order of its coefficient vector (c_0, ..., c_{k-1}) read as a base-p
     index, whose quotient ring is a field.  That is the irreducibility
-    test, for a given modulus too: the tables are accepted exactly when
-    every nonzero element has an inverse.
+    test: the tables are accepted exactly when every nonzero element has
+    an inverse.
     """
     if not _is_prime(p):
         raise FieldError(f"characteristic {p} is not prime")
@@ -153,21 +149,14 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldTable:
     if q > MAX_ORDER:
         raise FieldError(f"field order {q} exceeds {MAX_ORDER}")
 
-    if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != k + 1 or mod[-1] != 1:
-            raise FieldError("modulus must be monic of degree k")
-        candidates = [mod]
-    elif (p, k) in DEFAULT_MODULI:
+    if (p, k) in DEFAULT_MODULI:
         candidates = [DEFAULT_MODULI[(p, k)]]
     else:
         candidates = (tuple(i // p ** j % p for j in range(k)) + (1,) for i in range(q))
-    for mod in candidates:
+    for mod in candidates:   # some monic polynomial of each degree is irreducible
         rows = _field_rows(p, k, mod)
         if rows is not None:
             break
-    else:
-        raise FieldError("modulus is reducible over GF(p)")
     add_table, mul_table = rows
 
     for primitive in range(1, q):   # the smallest element of order q - 1

@@ -20,7 +20,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .geometry import Geometry, bits, mask_of
+from .geometry import Geometry, SearchTimeout, bits, mask_of
 
 
 ARC_ENUMERATION_MAX_Q = 8
@@ -60,41 +60,42 @@ def is_blocking_set(g: Geometry, mask: int) -> bool:
     return True
 
 
-def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
-    """Exact minimum blocking set via iterative-deepening branch and bound.
+def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingSearchResult:
+    """Exact maximum blocking set size, with witness.
 
-    For each size target the search branches on the most deficient uncovered
-    line (fewest remaining candidate points, lowest line id on ties), bans
-    tried points on the other branches, and prunes with
-    ceil(uncovered / lines through a point); a partial set dies as soon as
-    it fully contains a line.  Returns (witness, exact, nodes); the witness
-    is None when no blocking set exists or the deadline passed.
+    Uses the complement duality of blocking sets (every line has q+1 points,
+    so a set blocks iff its complement does): the complement of a minimum
+    blocking set is a maximum one.  The minimum comes from iterative-deepening
+    branch and bound, within an optional time budget.  For each size target
+    the search branches on the most deficient uncovered line (fewest
+    remaining candidate points, lowest line id on ties), bans tried points
+    on the other branches, and prunes with ceil(uncovered / lines through a
+    point); a partial set dies as soon as it fully contains a line.
 
     Each node carries two line masks: `uncov`, the lines with no chosen
     point, and `touched`, the lines through some banned point.  Only a line
     through the newest point can have become full, and only a line of
     `uncov & touched` can have fewer than q+1 candidates; when there is
-    none, the lowest uncovered line is the branch line.  A line with no
-    candidate left has the fewest, so it becomes the branch line and its
-    node has no child.
+    none, the lowest uncovered line, whose q+1 points are all candidates, is
+    the branch line.  A line with no candidate left has the fewest, so it
+    becomes the branch line and its node has no child.
     """
+    deadline = time.monotonic() + budget if budget is not None else None
     q = g.q
     lines = g.line_point_incidence
     incidence = g.point_line_incidence
     # lines through a point, the most uncovered lines a new point can meet
     per_point = incidence[0].bit_count()
     nodes = 0
-    timed_out = False
 
     def search(chosen: int, banned: int, uncov: int, touched: int, recheck: int,
                size: int, target: int) -> int | None:
         # recheck: the lines through the newest point that held a chosen point
-        nonlocal nodes, timed_out
+        nonlocal nodes
         nodes += 1
         if (deadline is not None and (nodes == 1 or nodes % 4096 == 0)
                 and time.monotonic() > deadline):
-            timed_out = True
-            return None
+            raise SearchTimeout(nodes)
         # the two scans walk their masks inline; bits() costs about 15% here
         if size > q:   # a full line needs q+1 chosen points
             while recheck:
@@ -106,50 +107,35 @@ def _min_blocking_branch_and_bound(g: Geometry, deadline: float | None):
             return chosen
         if size + (uncov.bit_count() + per_point - 1) // per_point > target:
             return None
-        picked = None
-        picked_opts = None
-        scan = uncov & touched
+        scan = uncov & touched or uncov & -uncov
+        fewest = q + 2   # more than any line's q+1 candidates
         while scan:
             low = scan & -scan
             opts = lines[low.bit_length() - 1] & ~banned
             c = opts.bit_count()
-            if picked_opts is None or c < picked_opts:
-                picked, picked_opts = opts, c
+            if c < fewest:
+                picked, fewest = opts, c
             scan ^= low
-        if picked is None:
-            picked = lines[(uncov & -uncov).bit_length() - 1]
         for p in bits(picked):
             inc = incidence[p]
             got = search(chosen | (1 << p), banned, uncov & ~inc, touched,
                          inc & ~uncov, size + 1, target)
-            if got is not None or timed_out:
+            if got is not None:
                 return got
             banned |= 1 << p  # later branches must meet the line elsewhere
             touched |= inc
         return None
 
     all_lines = (1 << g.n_lines) - 1
-    for target in range(1, g.n_points + 1):
-        got = search(0, 0, all_lines, 0, 0, 0, target)
-        if got is not None or timed_out:
-            return got, not timed_out, nodes
-    return None, True, nodes
-
-
-def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingSearchResult:
-    """Exact maximum blocking set size, with witness.
-
-    Uses the complement duality of blocking sets (every line has q+1 points,
-    so a set blocks iff its complement does): the complement of a minimum
-    blocking set is a maximum one.  Branch and bound finds the minimum, within
-    an optional time budget.
-    """
-    deadline = time.monotonic() + budget if budget is not None else None
-    wmin, exact, nodes = _min_blocking_branch_and_bound(g, deadline)
-    if wmin is None:
-        return BlockingSearchResult(None, 0, exact, nodes)
-    witness = g.all_points_mask & ~wmin
-    return BlockingSearchResult(witness.bit_count(), witness, True, nodes)
+    try:
+        for target in range(1, g.n_points + 1):
+            wmin = search(0, 0, all_lines, 0, 0, 0, target)
+            if wmin is not None:
+                witness = g.all_points_mask & ~wmin
+                return BlockingSearchResult(witness.bit_count(), witness, True, nodes)
+    except SearchTimeout:
+        return BlockingSearchResult(None, 0, False, nodes)
+    return BlockingSearchResult(None, 0, True, nodes)
 
 
 def is_arc(g: Geometry, mask: int) -> bool:
@@ -230,7 +216,8 @@ def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]
     if g.m != 2:
         raise StructureError("complete-arc enumeration needs m=2")
     if g.q > ARC_ENUMERATION_MAX_Q and not force:
-        raise StructureError(f"q={g.q} beyond enumeration budget (force=True to override)")
+        raise StructureError(f"q={g.q} is beyond the arc enumeration limit "
+                             f"q <= {ARC_ENUMERATION_MAX_Q}")
     q = g.q
     frame = frame_point_ids(g)
     frame_mask = mask_of(frame)

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism, negative control."""
 
 import json
+import re
 from collections import Counter
 
 from pgturan import bounds, covering, refdata, verify
@@ -64,6 +65,13 @@ def test_arcs_classify(capsys):
     assert {a["size"] for a in data["complete_arcs"]} == {6}
     assert len(data["classes"]) == 1
     assert data["classes"][0]["count"] == len(data["complete_arcs"])
+
+
+def test_arcs_beyond_the_enumeration_limit_exits_one(capsys):
+    assert main(["arcs", "--q", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q=9 is beyond the arc enumeration limit q <= 8\n"
 
 
 def test_blocking_max(capsys):
@@ -250,6 +258,18 @@ def test_verify_appendix_timings_add_seconds(capsys):
     plain, timed = json.loads(plain), json.loads(timed)
     assert all(isinstance(row.pop("seconds"), float) for row in timed["claims"])
     assert timed == plain
+
+
+def test_verify_appendix_markdown_timings_add_a_seconds_column(capsys):
+    _, plain = run(capsys, "verify", "appendix-b", "--format", "md")
+    code, timed = run(capsys, "verify", "appendix-b", "--format", "md", "--timings")
+    assert code == 0
+    plain, timed = plain.splitlines(), timed.splitlines()
+    assert timed[:2] == [plain[0] + " seconds |", plain[1] + "---|"]
+    assert len(timed) == len(plain)
+    for row, timed_row in zip(plain[2:], timed[2:]):
+        assert timed_row.startswith(row)
+        assert re.fullmatch(r" \d+\.\d{1,3} \|", timed_row[len(row):])
 
 
 def test_verify_appendix_passes_the_budget(monkeypatch, capsys):

@@ -437,6 +437,7 @@ def inflated_arc_spec(rng):
     return make_partition(n, 3, 2, "t3", (alpha, 1 - alpha - (M - 1) * gamma, gamma), M=M)
 
 
+@pytest.mark.slow
 def test_part_search_matches_full_recount_on_partition_hosts():
     rng = random.Random(47)
     specs = []
@@ -545,7 +546,7 @@ def test_generic_search_matches_reference_on_random_hosts():
 
 
 @pytest.mark.parametrize("scheme,n,q,rates,kw,status,nodes", [
-    ("t2", 11, 2, (1 / 12,), {"k": 0}, "no", 162_332),
+    pytest.param("t2", 11, 2, (1 / 12,), {"k": 0}, "no", 162_332, marks=pytest.mark.slow),
     ("t3", 14, 3, (6 / 14, 4 / 14, 1 / 14), {"M": 5}, "yes", 8_389),
 ])
 def test_generic_search_matches_reference_on_partition_hosts(scheme, n, q, rates, kw,

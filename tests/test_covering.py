@@ -255,7 +255,8 @@ def test_hitting_set_matches_reference_on_q9_arcs(q9_frame_arcs):
             [g.line_point_incidence[lid] for lid in bits(arc.passants)])
 
 
-@pytest.mark.parametrize("q,step", [(7, 1), (8, 1), (11, 40)])
+@pytest.mark.parametrize("q,step", [(7, 1), (8, 1),
+                                    pytest.param(11, 40, marks=pytest.mark.slow)])
 def test_hitting_set_matches_reference_on_plane_arcs(q, step):
     # every complete arc at q=7 and 8, every 40th frame-anchored one at q=11
     g = build_geometry(2, q)

@@ -30,7 +30,6 @@ from pgturan.structures import (
     secant_profile,
     _mat_inverse,
     _matvec,
-    _min_blocking_branch_and_bound,
 )
 
 
@@ -150,7 +149,10 @@ def min_blocking_reference(g, deadline):
 @pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_blocking_search_matches_rescanning_reference(m, q):
     g = build_geometry(m, q)
-    assert _min_blocking_branch_and_bound(g, None) == min_blocking_reference(g, None)
+    res = max_blocking_set_size(g)
+    wmin, exact, nodes = min_blocking_reference(g, None)
+    witness = 0 if wmin is None else g.all_points_mask & ~wmin
+    assert (res.witness, res.exact, res.explored_nodes) == (witness, exact, nodes)
 
 
 def test_blocking_search_zero_budget_times_out():
@@ -449,7 +451,7 @@ def _classify_reference(g, masks):
     return classes
 
 
-@pytest.mark.parametrize("q", [5, 7, 8, 9])
+@pytest.mark.parametrize("q", [5, 7, 8, pytest.param(9, marks=pytest.mark.slow)])
 def test_classification_matches_automorphism_outer_reference(q):
     g = build_geometry(2, q)
     masks = [a.mask for a in enumerate_complete_arcs(g, force=True)]
