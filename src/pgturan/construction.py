@@ -221,7 +221,7 @@ def displayed_lower_bound(spec: PartitionSpec) -> int:
 
 # --- embedding search ---------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SubgeometryResult:
     status: str                       # "yes" | "no" | "timeout"
     witness: dict[int, int] | None    # pattern point -> host vertex

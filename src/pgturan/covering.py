@@ -37,7 +37,7 @@ class CoveringError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class HittingSetResult:
     minimum_size: int
     witness: int                 # bitmask of chosen points
@@ -45,14 +45,14 @@ class HittingSetResult:
     explored_nodes: int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ClassCover:
     representative: ArcRecord
     class_size: int
     cover: HittingSetResult
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MqReport:
     q: int
     per_class: list[ClassCover]
@@ -62,7 +62,7 @@ class MqReport:
     witness_cover: HittingSetResult
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PassantAnalysis:
     arc: ArcRecord
     per_point: dict[int, int]            # point id -> passants through it

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .gf import FieldTable, FieldError, make_field, format_element, parse_element
 
@@ -59,8 +60,8 @@ class Geometry:
     field: FieldTable
     points: tuple[tuple[int, ...], ...]                  # coordinates, first nonzero is 1
     duals: tuple[tuple[int, ...], ...]                   # line -> [x,y,z]; m=2 only
-    point_index: dict[tuple[int, ...], int]
-    dual_index: dict[tuple[int, ...], int]               # m=2 only, else empty
+    point_index: MappingProxyType                        # coordinates -> point id
+    dual_index: MappingProxyType                         # dual -> line id; m=2 only, else empty
     point_line_incidence: tuple[int, ...]                # bitset of line ids per point
     line_point_incidence: tuple[int, ...]                # bitset of point ids per line
     pair_line: tuple[tuple[int, ...], ...] = field(repr=False)  # (point,point) -> line id
@@ -117,8 +118,8 @@ def _cross(f: FieldTable, u, v) -> tuple[int, int, int]:
 def build_geometry(m: int, q: int) -> Geometry:
     """Construct PG_m(q) with full incidence data.
 
-    The result is cached, so it is a frozen dataclass over tuples; its two
-    index dicts are never written after construction.
+    The result is cached, so it is a frozen dataclass over tuples, and its
+    two indexes are read-only views of dicts no caller holds.
     """
     if m < 2:
         raise GeometryError("projective dimension must be at least 2")
@@ -170,8 +171,8 @@ def build_geometry(m: int, q: int) -> Geometry:
         m=m, q=q, field=f,
         points=tuple(coord_list),
         duals=tuple(duals),
-        point_index=point_index,
-        dual_index=dual_index,
+        point_index=MappingProxyType(point_index),
+        dual_index=MappingProxyType(dual_index),
         point_line_incidence=tuple(point_line_incidence),
         line_point_incidence=tuple(line_point_incidence),
         pair_line=tuple(map(tuple, pair_line)),

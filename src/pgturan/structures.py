@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .geometry import Geometry, SearchTimeout, bits, mask_of
 
@@ -30,11 +32,11 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ArcRecord:
     mask: int                          # the arc's points
     is_complete: bool
-    secant_profile: dict[int, int]     # i-secant counts for i = 0, 1, 2
+    secant_profile: MappingProxyType   # i-secant counts for i = 0, 1, 2, shared per (q, k)
     passants: int                      # mask of the lines missing the arc
 
     @property
@@ -42,7 +44,17 @@ class ArcRecord:
         return self.mask.bit_count()
 
 
-@dataclass
+@cache
+def _shared_profile(q: int, k: int) -> MappingProxyType:
+    """The read-only {0: passants, 1: tangents, 2: secants} of every k-arc in
+    PG_2(q): a k-arc has k(q+2-k) tangents and k(k-1)/2 secants, and the
+    other lines of the q^2+q+1 miss it."""
+    tangents, secants = k * (q + 2 - k), k * (k - 1) // 2
+    return MappingProxyType({0: q * q + q + 1 - tangents - secants,
+                             1: tangents, 2: secants})
+
+
+@dataclass(frozen=True, slots=True)
 class BlockingSearchResult:
     size: int | None        # None when no blocking set exists
     witness: int            # bitmask, 0 when none
@@ -172,19 +184,19 @@ def is_complete_arc(g: Geometry, mask: int) -> bool:
 
 def secant_profile(g: Geometry, mask: int) -> ArcRecord:
     """Passant/tangent/secant counts and completeness of an arc, with its
-    passants' mask."""
+    passants' mask.  Every line is scanned, to reject a non-arc and to
+    collect the passants; the counts are the shared profile of its size."""
     if g.m != 2:
         raise StructureError("secant profiles are defined only for planes")
-    profile = {0: 0, 1: 0, 2: 0}
     passants = 0
     for lid, lm in enumerate(g.line_point_incidence):
         c = (mask & lm).bit_count()
         if c > 2:
             raise StructureError("point set is not an arc")
-        profile[c] += 1
         if c == 0:
             passants |= 1 << lid
-    return ArcRecord(mask, _closed(g, mask), profile, passants)
+    return ArcRecord(mask, _closed(g, mask), _shared_profile(g.q, mask.bit_count()),
+                     passants)
 
 
 def frame_point_ids(g: Geometry) -> tuple[int, ...]:
@@ -210,8 +222,8 @@ def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]
     of the arc so far, so each result is an arc, found once.  A leaf is a
     state with no point off the bisecant cover, which is completeness.  The
     search carries the mask of lines met by the arc: at a leaf the unmet
-    lines are the passants, and a k-arc has k(q+2-k) tangents and
-    k(k-1)/2 secants, so each record comes without a pass over the lines.
+    lines are the passants, and every record of one size shares one
+    read-only profile, so each record comes without a pass over the lines.
     """
     if g.m != 2:
         raise StructureError("complete-arc enumeration needs m=2")
@@ -236,12 +248,8 @@ def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]
                min_next: int):
         cand = all_mask & ~cover   # the bisecant cover holds the arc itself
         if cand == 0:
-            k = len(arc_ids)
-            unmet = all_lines & ~met
-            found.append(ArcRecord(arc_mask, True,
-                                   {0: unmet.bit_count(), 1: k * (q + 2 - k),
-                                    2: k * (k - 1) // 2},
-                                   unmet))
+            found.append(ArcRecord(arc_mask, True, _shared_profile(q, len(arc_ids)),
+                                   all_lines & ~met))
             return
         for p in bits(cand & -(1 << min_next)):
             add = 0

@@ -1,5 +1,6 @@
 """Exact minimum covers: solver vs brute force, M(q), and the pencil analysis."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -18,12 +19,14 @@ from pgturan.covering import (
     passant_analysis,
     verify_appendix,
 )
+from pgturan.construction import complete_hypergraph, contains_subgeometry
 from pgturan.geometry import build_geometry, format_coords, point_of
 from pgturan.structures import (
     apply_projectivity,
     bits,
     enumerate_complete_arcs,
     mask_of,
+    max_blocking_set_size,
     projectivity_from_frame,
     secant_profile,
 )
@@ -308,6 +311,28 @@ def test_mq_report_bounds():
         rep = compute_Mq(build_geometry(2, q))
         assert rep.M_q <= q - 1
         assert rep.max_over_classes >= rep.M_q
+
+
+def test_result_records_are_frozen():
+    g = build_geometry(2, 3)
+    rep = compute_Mq(g)
+    records = {
+        "ArcRecord": (rep.witness_arc, "mask"),
+        "HittingSetResult": (rep.witness_cover, "minimum_size"),
+        "ClassCover": (rep.per_class[0], "class_size"),
+        "MqReport": (rep, "M_q"),
+        "PassantAnalysis": (passant_analysis(g, rep.witness_arc), "peak_multiplicity"),
+        "BlockingSearchResult": (max_blocking_set_size(build_geometry(2, 2)), "size"),
+        "SubgeometryResult": (contains_subgeometry(complete_hypergraph(7, 3),
+                                                   build_geometry(2, 2)), "status"),
+    }
+    for name, (record, field) in records.items():
+        assert type(record).__name__ == name
+        before = getattr(record, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 0)
+        assert getattr(record, field) == before
+        assert not hasattr(record, "__dict__")   # slotted
 
 
 def test_m_of_arc_requires_complete():

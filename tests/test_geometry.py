@@ -63,6 +63,21 @@ def test_corrupt_field_leaves_cached_geometry_intact():
     assert all(g.field.mul(1, a) == a for a in range(3))
 
 
+@pytest.mark.parametrize("name,key", [("point_index", (1, 0, 0)), ("dual_index", (1, 0, 0))])
+def test_cached_indexes_are_read_only(name, key):
+    g = build_geometry(2, 3)
+    index = getattr(g, name)
+    before = dict(index)
+    with pytest.raises(TypeError):
+        index[key] = 99
+    with pytest.raises(TypeError):
+        index[(2, 2, 2)] = 0
+    with pytest.raises(TypeError):
+        del index[key]
+    again = getattr(build_geometry(2, 3), name)
+    assert again is index and dict(again) == before and again[key] != 99
+
+
 def test_small_counts():
     assert (build_geometry(2, 2).n_points, build_geometry(2, 2).n_lines) == (7, 7)
     assert (build_geometry(2, 7).n_points, build_geometry(2, 7).n_lines) == (57, 57)

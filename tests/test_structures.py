@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -329,6 +330,44 @@ def test_enumeration_records_match_secant_profile(q):
         assert list(a.secant_profile) == list(ref.secant_profile)
     if q == 11:
         assert Counter(a.size for a in arcs) == {7: 40, 8: 5103, 9: 3024, 10: 84, 12: 9}
+
+
+def test_arc_records_are_compact_and_share_profiles():
+    """At q=11 (8,260 arcs) a record holds at most 200 bytes: its masks and
+    slots, while every record of one size points at one read-only profile."""
+    g = build_geometry(2, 11)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arcs = enumerate_complete_arcs(g, force=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(arcs) == 8260
+    assert held / len(arcs) <= 200
+    by_size = {}
+    for a in arcs:
+        assert by_size.setdefault(a.size, a.secant_profile) is a.secant_profile
+    assert secant_profile(g, arcs[0].mask).secant_profile is arcs[0].secant_profile
+    for profile in by_size.values():
+        with pytest.raises(TypeError):
+            profile[0] = 0
+        with pytest.raises(TypeError):
+            profile[3] = 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_shared_profile_matches_a_line_count(q):
+    g = build_geometry(2, q)
+    for a in enumerate_complete_arcs(g):
+        counts = [0, 0, 0]
+        for lm in g.line_point_incidence:
+            counts[(a.mask & lm).bit_count()] += 1
+        assert list(a.secant_profile.items()) == list(enumerate(counts))
+        assert a.secant_profile[0] == a.passants.bit_count()
 
 
 def test_enumeration_budget_guard():
