@@ -228,10 +228,7 @@ def _cmd_verify(args) -> int:
         from .verify import run_all
         claims = run_all(budget=args.budget, corrupt_field=args.corrupt_field)
     else:
-        from .geometry import build_geometry
-        which = args.target[-1].upper()
-        g = build_geometry(2, 7 if which == "A" else 8)
-        claims = verify_appendix(g, which, budget=args.budget)
+        claims = verify_appendix(args.target[-1].upper(), budget=args.budget)
     print(render_claims(claims, fmt=args.format, timings=args.timings))
     return 1 if any(c.status == "fail" for c in claims) else 0
 

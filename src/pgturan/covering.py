@@ -22,9 +22,9 @@ import json
 import time
 from dataclasses import dataclass
 
-from .geometry import Geometry, SearchTimeout, bits, format_coords, line_of, mask_of, point_of
+from .geometry import (Geometry, SearchTimeout, bits, build_geometry, format_coords,
+                       line_of, mask_of, point_of)
 from .structures import (
-    ARC_ENUMERATION_MAX_Q,
     ArcRecord,
     secant_profile,
     enumerate_complete_arcs,
@@ -255,11 +255,10 @@ def compute_Mq(g: Geometry, budget: float | None = None,
     """M(q): minimum of m(K) over the complete-arc classes of the plane.
 
     `arcs` is the plane's `enumerate_complete_arcs(g)`, when the caller
-    already holds it; otherwise it is enumerated here.  `budget` bounds the
-    whole call: each cover search gets the time left of it.
+    already holds it; otherwise it is enumerated here, within that
+    enumeration's q limit.  `budget` bounds the whole call: each cover search
+    gets the time left of it.
     """
-    if g.q > ARC_ENUMERATION_MAX_Q:
-        raise CoveringError(f"M(q) computation supports q <= {ARC_ENUMERATION_MAX_Q}")
     deadline = time.monotonic() + budget if budget is not None else None
     if arcs is None:
         arcs = enumerate_complete_arcs(g)
@@ -309,6 +308,11 @@ class Claim:
     seconds: float = 0.0
 
 
+def claim_status(ok: bool | None) -> str:
+    """A claim's status from its verdict; None is a search that ran out of time."""
+    return "timeout" if ok is None else "pass" if ok else "fail"
+
+
 def render_claims(claims: list[Claim], fmt: str = "json",
                   timings: bool = False) -> str:
     if fmt == "json":
@@ -334,30 +338,26 @@ def render_claims(claims: list[Claim], fmt: str = "json",
 
 def _claim(claims, cid, anchor, source, expected, computed, ok):
     claims.append(Claim(cid, anchor, source, str(expected), str(computed),
-                        "pass" if ok else "fail"))
+                        claim_status(ok)))
 
 
 def _line_labels(g: Geometry, lines: int) -> list[str]:
     return sorted(format_coords(g, "line", lid) for lid in bits(lines))
 
 
-def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> list[Claim]:
+def verify_appendix(which: str, budget: float | None = None) -> list[Claim]:
     """Reproduce the passant-pencil analysis of the complete 6-arcs, claim by claim.
 
-    `which` is "A" (plane of order 7) or "B" (order 8).  Returns one Claim per
-    checked statement; the caller decides how to render or aggregate them.
-    `budget` bounds the whole call: each cover search gets the time left of it.
+    `which` is "A" or "B", case-insensitive; its catalog entry names the
+    plane.  Returns one Claim per checked statement; the caller decides how
+    to render or aggregate them.  `budget` bounds the whole call: each cover
+    search gets the time left of it.
     """
     which = which.upper()
-    if which == "A":
-        data = refdata.APPENDIX_A
-    elif which == "B":
-        data = refdata.APPENDIX_B
-    else:
+    data = refdata.APPENDICES.get(which)
+    if data is None:
         raise CoveringError("appendix must be A or B")
-    if g.q != data["q"]:
-        raise CoveringError(f"appendix {which} needs q={data['q']}")
-
+    g = build_geometry(2, data["q"])
     deadline = time.monotonic() + budget if budget is not None else None
     tag = f"appendix{which}"
     claims: list[Claim] = []
@@ -417,13 +417,8 @@ def verify_appendix(g: Geometry, which: str, budget: float | None = None) -> lis
 
         t0 = time.perf_counter()
         cover = m_of_arc(g, arc, _time_left(deadline))
-        c = Claim(
-            f"{pre}.mincover", tag, "reference",
-            f">= {data['min_cover_at_least']}",
-            str(cover.minimum_size),
-            "pass" if (cover.optimal and cover.minimum_size >= data["min_cover_at_least"])
-            else ("timeout" if not cover.optimal else "fail"),
-            time.perf_counter() - t0,
-        )
-        claims.append(c)
+        ok = cover.minimum_size >= data["min_cover_at_least"] if cover.optimal else None
+        claims.append(Claim(f"{pre}.mincover", tag, "reference",
+                            f">= {data['min_cover_at_least']}", str(cover.minimum_size),
+                            claim_status(ok), time.perf_counter() - t0))
     return claims

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import bounds, refdata
 # render_claims lives beside Claim; it stays importable from here
-from .covering import Claim, _time_left, compute_Mq, render_claims, verify_appendix
+from .covering import (Claim, _time_left, claim_status, compute_Mq, render_claims,
+                       verify_appendix)
 from .construction import (
     build_hypergraph,
     complete_hypergraph,
@@ -88,27 +89,27 @@ def _corrupted_copy(g):
 
 def _classification_claims(arcs, mq) -> list[ClaimSpec]:
     data = {
-        3: ("lemma3", {4}, 4, 3, 2),
-        4: ("lemma4", {6}, 6, 6, 2),
-        5: ("lemma5", {6}, 6, 10, 3),
-        7: ("lemma6", {6, 8}, 8, 21, 4),
-        8: ("lemma7", {6, 10}, 10, 28, 4),
+        3: ("lemma3", {4}, 3, 2),
+        4: ("lemma4", {6}, 6, 2),
+        5: ("lemma5", {6}, 10, 3),
+        7: ("lemma6", {6, 8}, 21, 4),
+        8: ("lemma7", {6, 10}, 28, 4),
     }
     claims = []
-    for q, (tag, sizes, big, passants, cap) in data.items():
+    for q, (tag, sizes, passants, cap) in data.items():
         def sizes_run(q=q, sizes=sizes):
             got = {a.size for a in arcs(q)}
             return str(sorted(got)), got == sizes
         claims.append(ClaimSpec(f"{tag}.sizes.q{q}", tag, "reference",
                                 str(sorted(sizes)), True, sizes_run))
 
-        def passant_run(q=q, big=big, passants=passants):
+        def passant_run(q=q, big=max(sizes), passants=passants):
             got = {a.secant_profile[0] for a in arcs(q) if a.size == big}
             return str(sorted(got)), got == {passants}
         claims.append(ClaimSpec(f"{tag}.passants.q{q}", tag, "reference",
                                 str(passants), True, passant_run))
 
-        def conc_run(q=q, big=big, cap=cap):
+        def conc_run(q=q, big=max(sizes), cap=cap):
             g = build_geometry(2, q)
             worst = max(max_concurrency(g, a.passants)
                         for a in arcs(q) if a.size == big)
@@ -153,7 +154,7 @@ def _mq_claims(mq) -> list[ClaimSpec]:
 
 def _appendix_claims(appendix) -> list[ClaimSpec]:
     claims = []
-    for which, lemma, floor_val in (("A", "lemma8", 6), ("B", "lemma9", 7)):
+    for which, lemma in (("A", "lemma8"), ("B", "lemma9")):
         def run(which=which):
             sub = appendix(which)
             bad = [c.claim_id for c in sub if c.status == "fail"]
@@ -163,14 +164,15 @@ def _appendix_claims(appendix) -> list[ClaimSpec]:
         claims.append(ClaimSpec(f"appendix{which}.all", f"appendix {which}",
                                 "reference", "all claims reproduce", True, run))
 
-        def run_mincover(which=which, floor_val=floor_val):
+        def run_mincover(which=which):
             covers = [c for c in appendix(which) if c.claim_id.endswith(".mincover")]
-            worst = min(int(c.computed) for c in covers)
-            if any(c.status == "timeout" for c in covers):
-                return str(worst), None     # an unproven incumbent bounds nothing
-            return str(worst), worst >= floor_val
+            statuses = {c.status for c in covers}
+            # an unproven incumbent bounds nothing
+            return (str(min(int(c.computed) for c in covers)),
+                    None if "timeout" in statuses else statuses == {"pass"})
+        floor = refdata.APPENDICES[which]["min_cover_at_least"]
         claims.append(ClaimSpec(f"{lemma}.mincover", f"appendix {which}", "reference",
-                                f">= {floor_val}", True, run_mincover))
+                                f">= {floor}", True, run_mincover))
     return claims
 
 
@@ -189,15 +191,12 @@ def _poly_claims() -> list[ClaimSpec]:
 
 def _optima_claims(optima) -> list[ClaimSpec]:
     claims = []
-    for row in ("q3", "q4", "q5", "q7", "q8"):
-        q = int(row[1:])
-
+    for q, (_, printed, _) in refdata.ARC_BOUND_OPTIMA.items():
         def run(q=q):
             r = optima()[q]
             return f"{r['value']:.10f}", r["value_ok"] and r["argmax_ok"]
-        claims.append(ClaimSpec(
-            f"optima.{row}", f"optimized arc bound q={q}", "reference",
-            refdata.ARC_BOUND_OPTIMA[q][1], True, run))
+        claims.append(ClaimSpec(f"optima.q{q}", f"optimized arc bound q={q}", "reference",
+                                printed, True, run))
     return claims
 
 
@@ -259,8 +258,8 @@ def _freeness_claims(time_left) -> list[ClaimSpec]:
                       2, "no")
 
     def t3_free():
-        spec = make_partition(16, 3, 2, "t3",
-                              (0.5948588940, 0.3216013121, 0.0835397939), M=2)
+        M, _, rates = refdata.ARC_BOUND_OPTIMA[3]
+        spec = make_partition(16, 3, 2, "t3", tuple(map(float, rates)), M=M)
         return search(build_hypergraph(spec), 3, "no")
 
     return [
@@ -301,8 +300,7 @@ def build_claim_specs(corrupt_field: bool = False,
 
     @functools.cache
     def appendix(which):
-        return verify_appendix(build_geometry(2, {"A": 7, "B": 8}[which]), which,
-                               budget=time_left())
+        return verify_appendix(which, budget=time_left())
 
     claims = []
     claims += _geometry_claims(corrupt=corrupt_field)
@@ -335,7 +333,7 @@ def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[
         t0 = time.perf_counter()
         try:
             computed, ok = spec.run()
-            status = "timeout" if ok is None else "pass" if ok else "fail"
+            status = claim_status(ok)
         except Exception as exc:  # report, never crash the harness
             computed, status = f"error: {exc}", "fail"
         return Claim(spec.claim_id, spec.anchor, spec.source,

@@ -104,8 +104,8 @@ def test_criterion_4_mq(q, expect, cap):
 
 def test_criterion_5_appendices():
     t0 = time.perf_counter()
-    claims_a = verify_appendix(build_geometry(2, 7), "A")
-    claims_b = verify_appendix(build_geometry(2, 8), "B")
+    claims_a = verify_appendix("A")
+    claims_b = verify_appendix("B")
     elapsed = time.perf_counter() - t0
     bad = [c.claim_id for c in claims_a + claims_b if c.status != "pass"]
     # structural completeness of the reproduction

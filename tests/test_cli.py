@@ -276,9 +276,9 @@ def test_verify_appendix_passes_the_budget(monkeypatch, capsys):
     seen = []
     original = covering.verify_appendix
 
-    def recorded(g, which, budget=None):
+    def recorded(which, budget=None):
         seen.append((which, budget))
-        return original(g, which, budget)
+        return original(which, budget)
     monkeypatch.setattr(covering, "verify_appendix", recorded)
     assert run(capsys, "verify", "appendix-b", "--budget", "7.5")[0] == 0
     assert run(capsys, "verify", "appendix-a")[0] == 0
@@ -374,7 +374,7 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     counted(bounds, "reproduce_arc_optima")
     counted(bounds, "reproduce_tables")
     counted(verify, "compute_Mq", key=lambda g, *rest: g.q)
-    counted(verify, "verify_appendix", key=lambda g, which, *rest: which)
+    counted(verify, "verify_appendix", key=lambda which, *rest: which)
     counted(covering, "m_of_arc", key=lambda g, arc, *rest: (g.q, arc.mask))
     counted(verify, "enumerate_complete_arcs", key=lambda g, *rest: g.q)
     # compute_Mq reuses the memo's arcs instead of enumerating them again
@@ -417,3 +417,17 @@ def test_tables_optimize_only_the_requested_table(monkeypatch, capsys):
         assert code == 0
         assert sum(calls.values()) == len(table) == {"1": 11, "2": 6}[which]
         assert set(calls) == set(table)
+
+
+def test_lemma_mincover_reads_the_appendix_floor(monkeypatch):
+    # the lemma claim takes its floor and verdict from the appendix entry
+    monkeypatch.setitem(refdata.APPENDIX_A, "min_cover_at_least", 7)
+    claims = {c.claim_id: c for c in verify.run_all(budget=None)}
+    lemma8 = claims["lemma8.mincover"]
+    assert (lemma8.expected, lemma8.computed, lemma8.status) == (">= 7", "6", "fail")
+    assert claims["appendixA.all"].status == "fail"
+    assert claims["lemma9.mincover"].status == "pass"
+    # the same verdict as the appendix's own cover claims
+    covers = [(c.expected, c.status) for c in covering.verify_appendix("A")
+              if c.claim_id.endswith(".mincover")]
+    assert covers == [(">= 7", "fail")] * 2

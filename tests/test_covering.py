@@ -17,8 +17,10 @@ from pgturan.covering import (
     m_of_arc,
     min_hitting_set,
     passant_analysis,
+    render_claims,
     verify_appendix,
 )
+from pgturan import refdata
 from pgturan.construction import complete_hypergraph, contains_subgeometry
 from pgturan.geometry import build_geometry, format_coords, point_of
 from pgturan.structures import (
@@ -28,6 +30,7 @@ from pgturan.structures import (
     mask_of,
     max_blocking_set_size,
     projectivity_from_frame,
+    StructureError,
     secant_profile,
 )
 
@@ -138,6 +141,17 @@ def test_mq_witness_covers_pinned(q):
             tuple(bits(c.cover.witness)))
            for c in rep.per_class]
     assert got == PRINTED_COVERS[q]
+
+
+def test_mq_q9_from_forced_arcs():
+    # past the enumeration limit, M(q) runs on arcs the caller enumerated
+    g9 = build_geometry(2, 9)
+    rep = compute_Mq(g9, arcs=enumerate_complete_arcs(g9, force=True))
+    assert rep.M_q == rep.max_over_classes == 8
+    assert [(c.representative.size, c.class_size) for c in rep.per_class] == \
+        [(6, 6), (8, 210), (7, 40), (10, 7)]
+    assert sum(c.class_size for c in rep.per_class) == 263
+    assert all(c.cover.optimal and c.cover.minimum_size == 8 for c in rep.per_class)
 
 
 def min_hitting_set_reference(universe, family, budget=None, dead_lines=False):
@@ -402,13 +416,15 @@ def test_lemma_floor_by_independent_exhaustion():
 
 @pytest.mark.parametrize("which,q", [("A", 7), ("B", 8)])
 def test_appendix_reproduces(which, q):
-    claims = verify_appendix(build_geometry(2, q), which)
+    # the catalog entry alone names the plane the claims run on
+    assert refdata.APPENDICES[which]["q"] == q
+    claims = verify_appendix(which)
     failing = [c for c in claims if c.status != "pass"]
     assert not failing, [f"{c.claim_id}: {c.expected} vs {c.computed}" for c in failing]
 
 
 def test_appendix_claim_inventory():
-    claims_a = verify_appendix(build_geometry(2, 7), "A")
+    claims_a = verify_appendix("A")
     ids = {c.claim_id for c in claims_a}
     # both arcs, all six pencils each, both union caps, and the cover floor
     assert "appendixA.K1.pencil.P1" in ids and "appendixA.K2.pencil.P6" in ids
@@ -416,7 +432,7 @@ def test_appendix_claim_inventory():
     assert "appendixA.K1.mincover" in ids
     assert sum(c.claim_id.endswith("mincover") for c in claims_a) == 2
 
-    claims_b = verify_appendix(build_geometry(2, 8), "B")
+    claims_b = verify_appendix("B")
     ids_b = {c.claim_id for c in claims_b}
     assert {"appendixB.K.union.I4", "appendixB.K.union.I5", "appendixB.K.union.I6",
             "appendixB.K.mincover"} <= ids_b
@@ -424,14 +440,16 @@ def test_appendix_claim_inventory():
 
 
 def test_appendix_wrong_plane_rejected():
-    with pytest.raises(CoveringError):
-        verify_appendix(build_geometry(2, 7), "B")
-    with pytest.raises(CoveringError):
-        verify_appendix(build_geometry(2, 7), "C")
+    # the letter picks the plane, so only a letter naming no appendix is wrong
+    with pytest.raises(CoveringError, match="appendix must be A or B"):
+        verify_appendix("C")
+    assert render_claims(verify_appendix("a")) == render_claims(verify_appendix("A"))
 
 
 def test_mq_budget_guard():
-    with pytest.raises(CoveringError, match=r"M\(q\) computation supports q <= 8"):
+    # without given arcs, M(q) stops at the arc enumeration's own limit
+    with pytest.raises(StructureError,
+                       match=r"^q=9 is beyond the arc enumeration limit q <= 8$"):
         compute_Mq(build_geometry(2, 9))
 
 
@@ -456,7 +474,7 @@ def test_hitting_set_times_out_at_its_first_periodic_read(stalled_clock):
 
 
 def test_zero_budget_bounds_the_whole_call():
-    claims = verify_appendix(build_geometry(2, 7), "A", budget=0)
+    claims = verify_appendix("A", budget=0)
     status = {c.claim_id: c.status for c in claims}
     assert [cid for cid, s in status.items() if s != "pass"] == \
         ["appendixA.K1.mincover", "appendixA.K2.mincover"]
@@ -477,5 +495,5 @@ def test_cover_searches_get_the_time_left(monkeypatch):
     assert len(given) == len(rep.per_class) == 2
     assert 0 < given[1] <= given[0] < 60
     given.clear()
-    verify_appendix(build_geometry(2, 7), "A", budget=60)
+    verify_appendix("A", budget=60)
     assert len(given) == 2 and 0 < given[1] <= given[0] < 60
