@@ -208,15 +208,12 @@ def corollary1_t(m: int, q: int) -> int:
     For m = 2 this reduces to q + ceil(sqrt(q)).  The ceiling is computed with
     exact integer square roots, so no precision can be lost near integers.
     """
-    if m == 2:
-        if q < 2:
-            raise BoundsError("need q >= 2")
-        r = math.isqrt(q)
-        return q + (r if r * r == q else r + 1)
     if m < 2:
         raise BoundsError("need m >= 2")
-    if q < 5:
+    if m > 2 and q < 5:
         raise BoundsError("the blocking-set size bound needs q >= 5 when m >= 3")
+    if q < 2:
+        raise BoundsError("need q >= 2")
     s = sum(q ** i for i in range(m - 1))
     # ceil(s*q + s*sqrt(q)) = s*q + ceil(sqrt(s^2 * q))
     n = s * s * q

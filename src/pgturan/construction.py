@@ -168,8 +168,6 @@ def _edge_count(sizes, caps, r: int) -> int:
 def _placements(cap: int, count: int, r: int) -> list[int]:
     """Ways to place k = 0..r labelled vertices in `count` parts of cap `cap`:
     k! [y^k] (sum_{c=0..cap} y^c / c!)^count, by J.C.P. Miller's power recurrence."""
-    if count == 1:  # one part holds k vertices in one way, up to its cap
-        return [1] * (min(cap, r) + 1) + [0] * (r - cap)
     ways = [1]
     for k in range(1, r + 1):
         ways.append(sum(((count + 1) * j - k) * math.comb(k, j) * ways[k - j]

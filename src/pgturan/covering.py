@@ -5,11 +5,11 @@ solved by deterministic branch and bound: branch on the candidate points of
 an uncovered line (fewest candidates first, points in ascending index order),
 ban each tried point in its later siblings, and prune with depth + k, where k
 is the fewest unbanned points whose uncovered-line counts can add up to the
-uncovered count.  Those counts are packed one byte per candidate point in a
-single int (so at most 255 lines through a point) and kept incrementally:
-each child subtracts, in one big-int step, the lines its point newly
-covers, a banned point's byte is cleared, and the bound reads the k largest
-counts level by level with `bytes.count`.
+uncovered count.  Those counts are packed in a single int, byte p holding
+point p's count (so at most 255 lines through a point), and kept
+incrementally: each child subtracts, in one big-int step, the lines its
+point newly covers, a banned point's byte is cleared, and the bound reads
+the k largest counts level by level with `bytes.count`.
 
 A cover is a point mask; an arc's passants and each passant pencil are line
 masks, intersected and united as such.  Ids are formed only to print a claim.
@@ -83,15 +83,15 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     lines cannot meet them all.
 
     Each node carries its per-point uncovered-line counts packed in one int,
-    one byte per candidate point in ascending point order, so a point may lie
-    on at most 255 family members (more raises `CoveringError`).  `ones[i]`
-    holds a 1 in the byte of each point of member i.  A child subtracts from
-    its parent's counts the `ones` of the lines its point newly covers,
-    masked by `live` (0xFF in each unbanned byte); a ban clears the point's
-    byte in `live` and in the counts, so a banned point counts 0.  The bound
-    walks the count levels from the largest root count down, counting the
-    bytes at each level, until k points are taken or their sum reaches the
-    uncovered count.
+    byte p holding point p's count (0 for a point on no member, which the
+    bound never counts), so a point may lie on at most 255 family members
+    (more raises `CoveringError`).  `ones[i]` holds a 1 in the byte of each
+    point of member i.  A child subtracts from its parent's counts the
+    `ones` of the lines its point newly covers, masked by `live` (0xFF in
+    each unbanned byte); a ban clears the point's byte in `live` and in the
+    counts, so a banned point counts 0.  The bound walks the count levels
+    from the largest root count down, counting the bytes at each level,
+    until k points are taken or their sum reaches the uncovered count.
 
     The witness is the greedy cover when that is optimal, and otherwise the
     first optimal cover in the unpruned branching order, so pruning never
@@ -113,29 +113,22 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         size_masks[size] = size_masks.get(size, 0) | (1 << i)
     lines_by_size = [size_masks[size] for size in sorted(size_masks)]
 
-    # the candidate points in ascending order; point p's count is the byte
-    # that one_of[p] marks
-    union = 0
-    for lm in fam:
-        union |= lm
-    candidate_points = list(bits(union))
-    n_points = len(candidate_points)
-    one_of = {p: 1 << 8 * j for j, p in enumerate(candidate_points)}
-    # point -> bitmask over family indices it covers, and family index ->
-    # a 1 in the byte of each of its points
-    cover_of = dict.fromkeys(candidate_points, 0)
+    # point p's count is byte p: point -> bitmask over family indices it
+    # covers, and family index -> a 1 in the byte of each of its points
+    width = max(lm.bit_length() for lm in fam)
+    cover_of = [0] * width
     ones = []
     for i, lm in enumerate(fam):
         line, one = 1 << i, 0
         for p in bits(lm):
             cover_of[p] |= line
-            one |= one_of[p]
+            one |= 1 << 8 * p
         ones.append(one)
-    if max(cover.bit_count() for cover in cover_of.values()) > 255:
+    if max(cover.bit_count() for cover in cover_of) > 255:
         raise CoveringError("a point lies on more than 255 family members, "
                             "the limit of the one-byte uncovered-line counts")
     root = sum(ones)
-    levels = range(max(root.to_bytes(n_points, "little")), 0, -1)
+    levels = range(max(root.to_bytes(width, "little")), 0, -1)
 
     all_lines = (1 << n_fam) - 1
     nodes = 0
@@ -145,8 +138,8 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     count = root
     greedy: list[int] = []
     while covered != all_lines:
-        b = count.to_bytes(n_points, "little")
-        p = candidate_points[b.index(max(b))]
+        b = count.to_bytes(width, "little")
+        p = b.index(max(b))
         greedy.append(p)
         for i in bits(cover_of[p] & ~covered):
             count -= ones[i]
@@ -171,7 +164,7 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
         if k <= 0:
             return
         need = rem.bit_count()
-        b = count.to_bytes(n_points, "little")
+        b = count.to_bytes(width, "little")
         for level in levels:  # the k largest counts, level by level
             c = b.count(level)
             if c >= k:
@@ -200,11 +193,11 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
             search(chosen | (1 << p), rem & ~cover_of[p], banned, live, depth + 1,
                    count - (drop & live))
             banned |= 1 << p  # later branches must meet the line elsewhere
-            live &= ~(0xFF * one_of[p])
+            live &= ~(0xFF << 8 * p)
             count &= live
 
     try:
-        search(0, all_lines, 0, (1 << 8 * n_points) - 1, 0, root)
+        search(0, all_lines, 0, (1 << 8 * width) - 1, 0, root)
     except SearchTimeout:
         return HittingSetResult(best_size, best_set, False, nodes)
     return HittingSetResult(best_size, best_set, True, nodes)

@@ -85,10 +85,6 @@ class FieldTable:
         e %= self.q - 1
         return self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
 
-    def frobenius(self, a: int) -> int:
-        """The automorphism a -> a^p."""
-        return self.pow(a, self.p)
-
     def dot(self, u, v) -> int:
         acc = 0
         for a, b in zip(u, v):

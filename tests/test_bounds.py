@@ -62,12 +62,18 @@ def test_part_count_formula():
     assert corollary1_t(2, 16) == 20
     assert corollary1_t(2, 2) == 4
     assert corollary1_t(3, 23) == 668
-    with pytest.raises(BoundsError):
-        corollary1_t(3, 4)
+    with pytest.raises(BoundsError, match="need m >= 2"):
+        corollary1_t(1, 3)
+    with pytest.raises(BoundsError, match="need q >= 2"):
+        corollary1_t(2, 1)
+    for m, q in ((3, 1), (3, 4)):
+        with pytest.raises(BoundsError, match="needs q >= 5 when m >= 3"):
+            corollary1_t(m, q)
 
 
 def test_part_count_against_high_precision_oracle():
-    for m, q in ((3, 17), (3, 23), (3, 29), (4, 9)):
+    for m, q in ((2, 2), (2, 3), (2, 16), (2, 19), (2, 25),
+                 (3, 17), (3, 23), (3, 29), (4, 9)):
         with mp.workdps(50):
             s = sum(mpf(q) ** i for i in range(m - 1))
             oracle = int(mpceil(s * (q + mpsqrt(q))))

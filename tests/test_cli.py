@@ -3,6 +3,7 @@
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 from pgturan import bounds, covering, refdata, verify
 from pgturan.cli import main
@@ -327,7 +328,8 @@ def test_verify_all_gives_every_search_the_time_left(monkeypatch):
     assert len(given["compute_Mq"]) == 5 and len(given["contains_subgeometry"]) == 3
     timed_out = [cid for cid, c in claims.items() if c.status == "timeout"]
     assert timed_out == sorted(
-        [f"blocking.max.q{q}" for q in (2, 3, 4)] + [f"M.q{q}" for q in refdata.MQ_VALUES]
+        [f"blocking.max.q{q}" for q in (2, 3, 4)]
+        + [f"M.q{q}" for q in refdata.ARC_BOUND_OPTIMA]
         + ["appendixA.all", "appendixB.all", "lemma8.mincover", "lemma9.mincover"]
         + ["freeness.k7.contains", "freeness.t2.q2n14", "freeness.t3.q3n16"])
     assert all(claims[cid].computed != "(not run)" for cid in timed_out)
@@ -382,7 +384,7 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     claims = verify.run_all(budget=None)
     assert len(claims) == 75
     assert [c.claim_id for c in claims if c.status != "pass"] == ["table2.q23"]
-    mq_keys = {("compute_Mq", q) for q in refdata.MQ_VALUES}
+    mq_keys = {("compute_Mq", q) for q in refdata.ARC_BOUND_OPTIMA}
     appendix_keys = {("verify_appendix", "A"), ("verify_appendix", "B")}
     arcs_keys = {("enumerate_complete_arcs", q) for q in (3, 4, 5, 7, 8)}
     assert {key for key in calls if key[0] != "m_of_arc"} == (
@@ -431,3 +433,24 @@ def test_lemma_mincover_reads_the_appendix_floor(monkeypatch):
     covers = [(c.expected, c.status) for c in covering.verify_appendix("A")
               if c.claim_id.endswith(".mincover")]
     assert covers == [(">= 7", "fail")] * 2
+
+
+def test_lemma_mincover_fails_on_a_proven_failure_beside_a_timeout(monkeypatch):
+    # K1's cover is a proven failure and K2's search stops early: a proven
+    # failure decides the lemma claim, as it decides appendixA.all
+    monkeypatch.setitem(refdata.APPENDIX_A, "min_cover_at_least", 7)
+    g = build_geometry(2, refdata.APPENDIX_A["q"])
+    k2 = mask_of(point_of(g, s) for s in refdata.APPENDIX_A["cases"]["K2"]["arc"])
+    m_of_arc = covering.m_of_arc
+
+    def k2_unproven(g, arc, budget=None):
+        res = m_of_arc(g, arc, budget)
+        return replace(res, optimal=False) if arc.mask == k2 else res
+    monkeypatch.setattr(covering, "m_of_arc", k2_unproven)
+    covers = {c.claim_id: c.status for c in covering.verify_appendix("A")
+              if c.claim_id.endswith(".mincover")}
+    assert covers == {"appendixA.K1.mincover": "fail", "appendixA.K2.mincover": "timeout"}
+    specs = {s.claim_id: s for s in verify.build_claim_specs()}
+    statuses = {cid: covering.claim_status(specs[cid].run()[1])
+                for cid in ("lemma8.mincover", "appendixA.all")}
+    assert statuses == {"lemma8.mincover": "fail", "appendixA.all": "fail"}
