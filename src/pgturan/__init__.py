@@ -17,11 +17,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "gf": ("FieldTable", "make_field"),
-    "geometry": ("Geometry", "build_geometry", "line_through", "parse_coords",
-                 "format_coords"),
-    "structures": ("ArcRecord", "is_blocking_set", "max_blocking_set_size", "is_arc",
-                   "is_complete_arc", "secant_profile", "enumerate_complete_arcs",
-                   "classify_up_to_collineation", "max_concurrency"),
+    "geometry": ("Geometry", "build_geometry", "parse_coords", "format_coords"),
+    "structures": ("ArcRecord", "is_blocking_set", "max_blocking_set_size",
+                   "secant_profile", "enumerate_complete_arcs",
+                   "classify_up_to_collineation"),
     "covering": ("HittingSetResult", "MqReport", "PassantAnalysis", "min_hitting_set",
                  "m_of_arc", "compute_Mq", "passant_analysis", "verify_appendix"),
     "construction": ("PartitionSpec", "Hypergraph", "make_partition", "build_hypergraph",

@@ -8,7 +8,7 @@ Bernstein coefficients rise and then fall, so it is unimodal there.  On a
 simplex it runs a best-first Bernstein branch and bound over boxes of grid
 indices.  Golden-section steps then refine the grid point in floats; on a
 simplex they run as a coordinate ascent over line functions compiled once per
-polynomial, which return the factored evaluator's floats bit for bit.  The
+polynomial, which return the factored form's floats bit for bit.  The
 reported value is the exact rational value of the polynomial at the refined
 point, so it carries well past the 10 digits the comparisons need.  Only the
 standard library is used.
@@ -74,37 +74,30 @@ class BoundPolynomial:
         return out
 
     def factored_evaluator(self):
-        """Float evaluator of the unexpanded form, for cross-checking."""
-        if self.constraint[0] == "segment":
-            t = self.constraint[1]
-            terms = [(float(c), i, j) for (i, j), c in self.monomials.items()]
+        """Float evaluator of the unexpanded segment form, the sum of
+        c * alpha**i * beta**j with beta = 1 - t*alpha."""
+        if self.constraint[0] != "segment":
+            raise BoundsError("factored evaluator needs the segment constraint")
+        t = self.constraint[1]
+        terms = [(float(c), i, j) for (i, j), c in self.monomials.items()]
 
-            def ev(alpha: float) -> float:
-                beta = 1.0 - t * alpha
-                return sum(c * alpha ** i * beta ** j for c, i, j in terms)
+        def ev(alpha: float) -> float:
+            beta = 1.0 - t * alpha
+            return sum(c * alpha ** i * beta ** j for c, i, j in terms)
 
-            return ev
-        m_val = self.constraint[1]
-        terms3 = [(float(c), e) for e, c in self.monomials.items()]
-
-        def ev3(alpha: float, beta: float) -> float:
-            gamma = (1.0 - alpha - beta) / (m_val - 1)
-            return sum(c * alpha ** e[0] * beta ** e[1] * gamma ** e[2]
-                       for c, e in terms3)
-
-        return ev3
+        return ev
 
     def line_functions(self):
         """`(along_alpha, along_beta)` for a simplex polynomial.
 
-        `along_alpha(b)` is `x -> factored_evaluator()(x, b)` and
-        `along_beta(a)` is `y -> factored_evaluator()(a, y)`, equal bit for
-        bit: every term is still c * alpha**i * beta**j * gamma**k multiplied
-        left to right, the terms are summed in monomial order by `sum`, and
-        only the exact factors x**0 == 1.0 and x**1 == x are dropped.  What
-        does not move along the line (b**j, or the leading product c * a**i)
-        is computed once per line, each other power once per call.  Both are
-        compiled from generated source once per polynomial.
+        `along_alpha(b)(x)` and `along_beta(a)(y)` are the unexpanded form at
+        (x, b) and (a, y), bit for bit: the `sum`, in monomial order, of
+        c * alpha**i * beta**j * gamma**k with gamma = (1 - alpha - beta)/(M-1),
+        each term multiplied left to right, with only the exact factors
+        x**0 == 1.0 and x**1 == x dropped.  What does not move along the line
+        (b**j, or the leading product c * a**i) is computed once per line,
+        each other power once per call.  Both are compiled from generated
+        source once per polynomial.
         """
         if self.constraint[0] != "simplex":
             raise BoundsError("line functions need the simplex constraint")
@@ -478,7 +471,7 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
     a, b = _simplex_tick(i), _simplex_tick(j)
     # coordinate-wise golden section on the feasible segments through the
     # incumbent; the printed argmax digits depend on every comparison, so the
-    # line functions must return factored_evaluator's floats bit for bit
+    # line functions must return the factored form's floats bit for bit
     for _ in range(400):
         a_new = _golden_max(along_alpha(b), 0.0, 1.0 - b)
         b_new = _golden_max(along_beta(a_new), 0.0, 1.0 - a_new)

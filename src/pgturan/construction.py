@@ -316,6 +316,16 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
     vertices that complete every line the point closes, tried lowest first;
     a candidate survives when every line left one point short still has a
     free completion.
+
+    The pattern is a PG(m,q), and the search breaks its symmetry.  The order
+    starts with the points of a line l.  The collineations fixing l act on it
+    as PGL(2,q), which is sharply 3-transitive, and those fixing l pointwise
+    are transitive on the points off l.  Composing an embedding with such
+    collineations gives one whose first three points map to increasing
+    vertices and whose first point off l maps to the smallest vertex of any
+    point off l.  So only those embeddings are searched: steps 1 and 2 take
+    vertices above the step before, and later points off l vertices above
+    the first of them.
     """
     completions: dict[int, int] = {}
     for e in h.edges:
@@ -330,6 +340,9 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
         steps = sorted(pos[p] for p in bits(ln))
         closing[steps[-1]].append([order[s] for s in steps[:-1]])
         pending[steps[-2]].append([order[s] for s in steps[:-2]])
+    # the point whose vertex each step's vertex must exceed, if any
+    k = pattern_lines[0].bit_count()         # order starts with the k points of l
+    above = [None, order[0], order[1], *[None] * (k - 2), *[order[k]] * (n_pts - k - 1)]
 
     image = [0] * n_pts                    # each mapped point's host vertex, as one bit
     all_vertices = (1 << h.n) - 1
@@ -346,6 +359,8 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
             raise SearchTimeout(nodes)
         unused = all_vertices & ~used
         cand = unused
+        if above[step] is not None:
+            cand &= -(image[above[step]] << 1)
         for others in closing[step]:
             base = 0
             for x in others:

@@ -203,30 +203,6 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
     return HittingSetResult(best_size, best_set, True, nodes)
 
 
-def exhaustive_cover_exists(universe: int, family, size: int) -> bool:
-    """Whether some `size`-subset of the universe hits every family line.
-
-    Independent check of the branch-and-bound optimality certificate: plain
-    depth-limited exhaustion over the first uncovered line, no bounds.
-    """
-    fam = [lm & universe for lm in family]
-
-    def go(remaining: list[int], depth: int) -> bool:
-        if not remaining:
-            return True
-        if depth == 0:
-            return False
-        first = remaining[0]
-        for p in bits(first):
-            pb = 1 << p
-            rest = [lm for lm in remaining[1:] if not lm & pb]
-            if go(rest, depth - 1):
-                return True
-        return False
-
-    return go(sorted(fam, key=lambda m: m.bit_count()), size)
-
-
 def m_of_arc(g: Geometry, arc: ArcRecord, budget: float | None = None) -> HittingSetResult:
     """m(K): minimum points covering every passant of a complete arc.
 

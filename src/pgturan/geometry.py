@@ -193,13 +193,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     raise GeometryError(f"{q} is not a prime power")
 
 
-def line_through(g: Geometry, p1: int, p2: int) -> int:
-    """Id of the unique line containing two distinct points."""
-    if p1 == p2:
-        raise GeometryError("line_through needs two distinct points")
-    return g.pair_line[p1][p2]
-
-
 def format_coords(g: Geometry, kind: str, obj_id: int) -> str:
     """Paper-style text for a point "(a,b,c)" or, for m=2, a line "[x,y,z]"."""
     f = g.field

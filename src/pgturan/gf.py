@@ -85,12 +85,6 @@ class FieldTable:
         e %= self.q - 1
         return self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
 
-    def dot(self, u, v) -> int:
-        acc = 0
-        for a, b in zip(u, v):
-            acc = self.add_table[acc][self.mul_table[a][b]]
-        return acc
-
 
 def _field_rows(p: int, k: int, mod: tuple[int, ...]):
     """Addition and multiplication rows of GF(p)[x]/(mod) over element indices.

@@ -150,15 +150,6 @@ def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingS
     return BlockingSearchResult(None, 0, True, nodes)
 
 
-def is_arc(g: Geometry, mask: int) -> bool:
-    if g.m != 2:
-        raise StructureError("arcs are defined here only for planes (m=2)")
-    for lm in g.line_point_incidence:
-        if (mask & lm).bit_count() > 2:
-            return False
-    return True
-
-
 def _bisecant_cover(g: Geometry, mask: int) -> int:
     """Union of all 2-secant lines' point sets."""
     cover = 0
@@ -175,11 +166,6 @@ def _closed(g: Geometry, arc_mask: int) -> bool:
     """Whether the arc's bisecant cover, empty below 2 points, holds every
     point off the arc: then no outside point can extend it."""
     return g.all_points_mask & ~_bisecant_cover(g, arc_mask) & ~arc_mask == 0
-
-
-def is_complete_arc(g: Geometry, mask: int) -> bool:
-    """An arc is complete when no outside point can extend it."""
-    return is_arc(g, mask) and _closed(g, mask)
 
 
 def secant_profile(g: Geometry, mask: int) -> ArcRecord:
@@ -377,13 +363,3 @@ def classify_up_to_collineation(g: Geometry, masks) -> list[list[int]]:
         else:
             classes.append([m])
     return classes
-
-
-def max_concurrency(g: Geometry, lines: int) -> int:
-    """Largest number of the lines in the mask passing through a common point."""
-    best = 0
-    for inc in g.point_line_incidence:
-        c = (inc & lines).bit_count()
-        if c > best:
-            best = c
-    return best

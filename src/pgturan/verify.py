@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import bounds, refdata
 # render_claims lives beside Claim; it stays importable from here
-from .covering import (Claim, _time_left, claim_status, compute_Mq, render_claims,
-                       verify_appendix)
+from .covering import (Claim, _time_left, claim_status, compute_Mq, passant_analysis,
+                       render_claims, verify_appendix)
 from .construction import (
     build_hypergraph,
     complete_hypergraph,
@@ -29,11 +29,7 @@ from .construction import (
     make_partition,
 )
 from .geometry import build_geometry
-from .structures import (
-    enumerate_complete_arcs,
-    max_blocking_set_size,
-    max_concurrency,
-)
+from .structures import enumerate_complete_arcs, max_blocking_set_size
 
 
 @dataclass
@@ -111,7 +107,9 @@ def _classification_claims(arcs, mq) -> list[ClaimSpec]:
 
         def conc_run(q=q, big=max(sizes), cap=cap):
             g = build_geometry(2, q)
-            worst = max(max_concurrency(g, a.passants)
+            # arc points lie on no passant, so the peak over the points off
+            # the arc is the most passants through any point
+            worst = max(passant_analysis(g, a).peak_multiplicity
                         for a in arcs(q) if a.size == big)
             return str(worst), worst <= cap
         claims.append(ClaimSpec(f"{tag}.concurrency.q{q}", tag, "reference",

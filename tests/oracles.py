@@ -1,0 +1,59 @@
+"""Independent oracles the tests check the library against; the library never
+calls them."""
+
+from pgturan.geometry import bits
+
+
+def field_dot(f, u, v) -> int:
+    """Dot product of two coordinate vectors over the field table `f`."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc = f.add_table[acc][f.mul_table[a][b]]
+    return acc
+
+
+def complete_arc_reference(g, mask: int) -> bool:
+    """Whether the point set is an arc (no three collinear) that no outside
+    point extends to a larger arc, tried point by point."""
+    def is_arc(m):
+        return all((m & lm).bit_count() <= 2 for lm in g.line_point_incidence)
+    return is_arc(mask) and not any(is_arc(mask | 1 << p) for p in range(g.n_points)
+                                    if not mask >> p & 1)
+
+
+def exhaustive_cover_exists(universe: int, family, size: int) -> bool:
+    """Whether some `size`-subset of the universe hits every family line.
+
+    Independent check of the branch-and-bound optimality certificate: plain
+    depth-limited exhaustion over the first uncovered line, no bounds.
+    """
+    fam = [lm & universe for lm in family]
+
+    def go(remaining: list[int], depth: int) -> bool:
+        if not remaining:
+            return True
+        if depth == 0:
+            return False
+        first = remaining[0]
+        for p in bits(first):
+            pb = 1 << p
+            rest = [lm for lm in remaining[1:] if not lm & pb]
+            if go(rest, depth - 1):
+                return True
+        return False
+
+    return go(sorted(fam, key=lambda m: m.bit_count()), size)
+
+
+def simplex_evaluator(poly):
+    """Float evaluator of a simplex polynomial's unexpanded form: the sum, in
+    monomial order, of c * alpha**i * beta**j * gamma**k with
+    gamma = (1 - alpha - beta) / (M - 1)."""
+    m_val = poly.constraint[1]
+    terms = [(float(c), e) for e, c in poly.monomials.items()]
+
+    def ev(alpha: float, beta: float) -> float:
+        gamma = (1.0 - alpha - beta) / (m_val - 1)
+        return sum(c * alpha ** e[0] * beta ** e[1] * gamma ** e[2] for c, e in terms)
+
+    return ev

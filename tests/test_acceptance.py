@@ -30,9 +30,9 @@ from pgturan.construction import (
     count_edges_exact,
     make_partition,
 )
-from pgturan.covering import compute_Mq, verify_appendix
+from pgturan.covering import compute_Mq, passant_analysis, verify_appendix
 from pgturan.geometry import build_geometry
-from pgturan.structures import classify_up_to_collineation, enumerate_complete_arcs, max_concurrency
+from pgturan.structures import classify_up_to_collineation, enumerate_complete_arcs
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -141,7 +141,7 @@ def test_criterion_6_classification():
         big = max(sizes)
         big_arcs = [a for a in arcs if a.size == big]
         got_pass = {a.secant_profile[0] for a in big_arcs}
-        got_cap = max(max_concurrency(g, a.passants) for a in big_arcs)
+        got_cap = max(passant_analysis(g, a).peak_multiplicity for a in big_arcs)
         row_ok = got_sizes == sizes and got_pass == {passants} and got_cap <= cap
         ok = ok and row_ok
         detail.append(f"q{q}:{sorted(got_sizes)}/{got_pass}/{got_cap}")

@@ -30,6 +30,7 @@ from pgturan.bounds import (
     value_string,
 )
 
+from oracles import simplex_evaluator
 
 # --- closed forms ---------------------------------------------------------------
 
@@ -226,12 +227,12 @@ def test_constraint_satisfied_at_argmax():
 
 def test_line_functions_match_factored_evaluator_bit_for_bit():
     # the coordinate ascent reads the compiled line functions; the argmax
-    # digits stay the same only if they return factored_evaluator's floats
+    # digits stay the same only if they return the factored form's floats
     polys = [theorem3_polynomial(q, M) for q, (M, _, _) in refdata.ARC_BOUND_OPTIMA.items()]
     polys += [theorem3_polynomial(q, M) for q in range(2, 12) for M in range(2, q + 3)]
     rng = random.Random(10)
     for poly in polys:
-        ev = poly.factored_evaluator()
+        ev = simplex_evaluator(poly)
         along_alpha, along_beta = poly.line_functions()
         for _ in range(8):
             a = rng.random()
@@ -244,11 +245,13 @@ def test_line_functions_match_factored_evaluator_bit_for_bit():
                 assert on_beta(y) == ev(a, y), (poly.provenance, a, y)
     with pytest.raises(BoundsError):
         theorem2_polynomial(3, 5).line_functions()
+    with pytest.raises(BoundsError, match="segment"):
+        theorem3_polynomial(3, 2).factored_evaluator()
 
 
 def test_simplex_argmax_bits_pinned():
     # float.hex of the ascent's final (alpha, beta) on each catalog plane, as
-    # the ascent over factored_evaluator gave them
+    # the ascent over the factored form gave them
     pinned = {
         3: ("0x1.30915858c86bep-1", "0x1.4951daf36ba86p-2"),
         4: ("0x1.5030aa2c7a3c2p-1", "0x1.d697aa63b75eep-3"),

@@ -13,7 +13,6 @@ from pgturan.covering import (
     CoveringError,
     HittingSetResult,
     compute_Mq,
-    exhaustive_cover_exists,
     m_of_arc,
     min_hitting_set,
     passant_analysis,
@@ -33,6 +32,8 @@ from pgturan.structures import (
     StructureError,
     secant_profile,
 )
+
+from oracles import exhaustive_cover_exists
 
 
 def brute_minimum(universe, family):
@@ -397,6 +398,17 @@ def test_pencil_of_named_point_k2():
     p5 = point_of(g, "(0,0,1)")
     got = {format_coords(g, "line", l) for l in bits(ana.pencils[p5])}
     assert got == {"[1,3,0]", "[1,2,0]", "[0,1,0]", "[1,5,0]", "[1,4,0]"}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_peak_multiplicity_is_the_most_passants_through_any_point(q):
+    # the concurrency claims read the peak over the points off the arc; arc
+    # points lie on no passant, so it is the peak over every point
+    g = build_geometry(2, q)
+    for arc in enumerate_complete_arcs(g):
+        through = [(inc & arc.passants).bit_count() for inc in g.point_line_incidence]
+        assert passant_analysis(g, arc).peak_multiplicity == max(through)
+        assert not any(through[p] for p in bits(arc.mask))
 
 
 def test_lemma_floor_by_independent_exhaustion():
