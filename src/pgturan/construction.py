@@ -318,14 +318,16 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
     free completion.
 
     The pattern is a PG(m,q), and the search breaks its symmetry.  The order
-    starts with the points of a line l.  The collineations fixing l act on it
-    as PGL(2,q), which is sharply 3-transitive, and those fixing l pointwise
-    are transitive on the points off l.  Composing an embedding with such
-    collineations gives one whose first three points map to increasing
-    vertices and whose first point off l maps to the smallest vertex of any
-    point off l.  So only those embeddings are searched: steps 1 and 2 take
-    vertices above the step before, and later points off l vertices above
-    the first of them.
+    starts with the points of a line l.  The collineations are transitive on
+    flags (a point and a line through it); those fixing the flag (first
+    point, l) act on l's other q points as AGL(1,q), which is sharply
+    2-transitive; and those fixing l pointwise are transitive on the points
+    off l.  So some image of any embedding maps the first point to its
+    smallest vertex, the next two to the two smallest vertices left on l,
+    ascending, and the first point off l to the smallest vertex off l.  Only
+    those embeddings are searched: steps 1 and 2 take vertices above the
+    step before, the rest of l and the first point off l vertices above step
+    0, and later points off l vertices above the first of them.
     """
     completions: dict[int, int] = {}
     for e in h.edges:
@@ -342,7 +344,7 @@ def _search_generic(h: Hypergraph, pattern_lines, n_pts: int,
         pending[steps[-2]].append([order[s] for s in steps[:-2]])
     # the point whose vertex each step's vertex must exceed, if any
     k = pattern_lines[0].bit_count()         # order starts with the k points of l
-    above = [None, order[0], order[1], *[None] * (k - 2), *[order[k]] * (n_pts - k - 1)]
+    above = [None, order[0], order[1], *[order[0]] * (k - 2), *[order[k]] * (n_pts - k - 1)]
 
     image = [0] * n_pts                    # each mapped point's host vertex, as one bit
     all_vertices = (1 << h.n) - 1

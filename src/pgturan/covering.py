@@ -1,15 +1,16 @@
 """Minimum passant covers: m(K), M(q), and the appendix-style pencil analysis.
 
-The central primitive is an exact minimum hitting set over line point sets,
-solved by deterministic branch and bound: branch on the candidate points of
-an uncovered line (fewest candidates first, points in ascending index order),
-ban each tried point in its later siblings, and prune with depth + k, where k
-is the fewest unbanned points whose uncovered-line counts can add up to the
-uncovered count.  Those counts are packed in a single int, byte p holding
-point p's count (so at most 255 lines through a point), and kept
-incrementally: each child subtracts, in one big-int step, the lines its
-point newly covers, a banned point's byte is cleared, and the bound reads
-the k largest counts level by level with `bytes.count`.
+The central primitive is an exact minimum hitting set over a mask of a
+plane's lines, solved by deterministic branch and bound on the plane's own
+incidence: branch on the candidate points of an uncovered line (fewest
+candidates first, points in ascending index order), ban each tried point in
+its later siblings, and prune with depth + k, where k is the fewest unbanned
+points whose uncovered-line counts can add up to the uncovered count.
+Those counts are packed in a single int, byte p holding point p's count (so
+at most 255 lines through a point), and kept incrementally: each child
+subtracts, in one big-int step, the lines its point newly covers, a banned
+point's byte is cleared, and the bound reads the k largest counts level by
+level with `bytes.count`.
 
 A cover is a point mask; an arc's passants and each passant pencil are line
 masks, intersected and united as such.  Ids are formed only to print a claim.
@@ -17,13 +18,14 @@ masks, intersected and united as such.  Ids are formed only to print a claim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
 from dataclasses import dataclass
 
 from .geometry import (Geometry, SearchTimeout, bits, build_geometry, format_coords,
-                       line_of, mask_of, point_of)
+                       line_of, mask_of, point_of, time_left)
 from .structures import (
     ArcRecord,
     secant_profile,
@@ -71,79 +73,74 @@ class PassantAnalysis:
     pencils: dict[int, int]              # peak point id -> mask of its passants
 
 
-def min_hitting_set(universe: int, family, budget: float | None = None) -> HittingSetResult:
-    """Exact minimum set of universe points meeting every line of the family.
+@functools.cache
+def _packed_lines(line_point_incidence: tuple[int, ...]) -> tuple[int, ...]:
+    """Each line of a geometry with a 1 in the byte of each of its points."""
+    return tuple(sum(1 << 8 * p for p in bits(lm)) for lm in line_point_incidence)
 
-    `family` is a sequence of point bitmasks.  Depth-first branch and bound
-    from a greedy incumbent.  Each node branches on the uncovered line with
-    the fewest points (lowest index on ties), trying its points in ascending
-    index order; once the branch that picks p returns, p is banned in the
-    later sibling branches.  The bound is top-k coverage: prune when the
-    `best_size - depth - 1` unbanned points that meet the most uncovered
-    lines cannot meet them all.
+
+def min_hitting_set(g: Geometry, universe: int, lines: int,
+                    budget: float | None = None) -> HittingSetResult:
+    """Exact minimum set of universe points meeting every line of the mask.
+
+    `lines` is a mask of line ids of `g`.  Depth-first branch and bound from
+    a greedy incumbent, with the points off the universe banned from the
+    root.  Each node branches on the uncovered line with the fewest universe
+    points (lowest line id on ties), trying its points in ascending order;
+    once the branch that picks p returns, p is banned in the later siblings.
+    The bound is top-k coverage: prune when the `best_size - depth - 1`
+    unbanned points that meet the most uncovered lines cannot meet them all.
 
     Each node carries its per-point uncovered-line counts packed in one int,
-    byte p holding point p's count (0 for a point on no member, which the
-    bound never counts), so a point may lie on at most 255 family members
-    (more raises `CoveringError`).  `ones[i]` holds a 1 in the byte of each
-    point of member i.  A child subtracts from its parent's counts the
-    `ones` of the lines its point newly covers, masked by `live` (0xFF in
-    each unbanned byte); a ban clears the point's byte in `live` and in the
-    counts, so a banned point counts 0.  The bound walks the count levels
-    from the largest root count down, counting the bytes at each level,
-    until k points are taken or their sum reaches the uncovered count.
+    byte p holding point p's count, so a point of `g` may lie on at most 255
+    lines (more raises `CoveringError`).  A line's packed form, built once
+    per geometry, holds a 1 in the byte of each of its points.  A child
+    subtracts from its parent's counts the packed lines its point newly
+    covers, masked by `live` (0xFF in each unbanned byte); a ban clears the
+    point's byte in `live` and in the counts.  The bound walks the count
+    levels from the largest root count down, counting the bytes at each
+    level, until k points are taken or their sum reaches the uncovered count.
 
     The witness is the greedy cover when that is optimal, and otherwise the
     first optimal cover in the unpruned branching order, so pruning never
     changes it.  A search past its deadline returns its incumbent with
     optimal=False.  Raises when some line misses the universe entirely.
     """
-    fam = [lm & universe for lm in family]
-    for i, lm in enumerate(fam):
-        if lm == 0:
-            raise CoveringError(f"family member {i} does not meet the universe")
-    if not fam:
+    if not lines:
         return HittingSetResult(0, 0, True, 1)
-    deadline = time.monotonic() + budget if budget is not None else None
-    n_fam = len(fam)
-    # family indices grouped by line size, smallest lines first
+    line_points, point_lines = g.line_point_incidence, g.point_line_incidence
+    # line ids grouped by their number of universe points, smallest first
     size_masks: dict[int, int] = {}
-    for i, lm in enumerate(fam):
-        size = lm.bit_count()
-        size_masks[size] = size_masks.get(size, 0) | (1 << i)
-    lines_by_size = [size_masks[size] for size in sorted(size_masks)]
-
-    # point p's count is byte p: point -> bitmask over family indices it
-    # covers, and family index -> a 1 in the byte of each of its points
-    width = max(lm.bit_length() for lm in fam)
-    cover_of = [0] * width
-    ones = []
-    for i, lm in enumerate(fam):
-        line, one = 1 << i, 0
-        for p in bits(lm):
-            cover_of[p] |= line
-            one |= 1 << 8 * p
-        ones.append(one)
-    if max(cover.bit_count() for cover in cover_of) > 255:
-        raise CoveringError("a point lies on more than 255 family members, "
+    for lid in bits(lines):
+        size = (line_points[lid] & universe).bit_count()
+        if not size:
+            raise CoveringError(f"line {lid} does not meet the universe")
+        size_masks[size] = size_masks.get(size, 0) | (1 << lid)
+    if max(map(int.bit_count, point_lines)) > 255:
+        raise CoveringError("a point lies on more than 255 lines, "
                             "the limit of the one-byte uncovered-line counts")
-    root = sum(ones)
+    deadline = time.monotonic() + budget if budget is not None else None
+    lines_by_size = [size_masks[size] for size in sorted(size_masks)]
+    packed = _packed_lines(line_points)
+    width = len(point_lines)
+    banned = g.all_points_mask & ~universe
+    live = (1 << 8 * width) - 1
+    for p in bits(banned):
+        live ^= 0xFF << 8 * p
+    root = sum(packed[lid] for lid in bits(lines)) & live
     levels = range(max(root.to_bytes(width, "little")), 0, -1)
-
-    all_lines = (1 << n_fam) - 1
     nodes = 0
 
-    # greedy incumbent: most new lines covered, lowest point index on ties
-    covered = 0
+    # greedy incumbent: most new lines covered, lowest point on ties
+    rem = lines
     count = root
     greedy: list[int] = []
-    while covered != all_lines:
+    while rem:
         b = count.to_bytes(width, "little")
         p = b.index(max(b))
         greedy.append(p)
-        for i in bits(cover_of[p] & ~covered):
-            count -= ones[i]
-        covered |= cover_of[p]
+        count -= sum(packed[lid] for lid in bits(point_lines[p] & rem)) & live
+        rem &= ~point_lines[p]
     best_size = len(greedy)
     best_set = mask_of(greedy)
 
@@ -176,28 +173,28 @@ def min_hitting_set(universe: int, family, budget: float | None = None) -> Hitti
             k -= c
         if need > 0:
             return
-        # branch on the uncovered line with fewest points, lowest index on ties
+        # branch on the uncovered line with fewest points, lowest id on ties
         for size_mask in lines_by_size:
             open_lines = rem & size_mask
             if open_lines:
                 break
         pick = (open_lines & -open_lines).bit_length() - 1
-        for p in bits(fam[pick] & ~banned):
+        for p in bits(line_points[pick] & ~banned):
             # drop the lines p newly covers; bits() written out, as this
             # loop runs once per child
-            drop, m = 0, cover_of[p] & rem
+            drop, m = 0, point_lines[p] & rem
             while m:
                 low = m & -m
-                drop += ones[low.bit_length() - 1]
+                drop += packed[low.bit_length() - 1]
                 m ^= low
-            search(chosen | (1 << p), rem & ~cover_of[p], banned, live, depth + 1,
+            search(chosen | (1 << p), rem & ~point_lines[p], banned, live, depth + 1,
                    count - (drop & live))
             banned |= 1 << p  # later branches must meet the line elsewhere
             live &= ~(0xFF << 8 * p)
             count &= live
 
     try:
-        search(0, all_lines, 0, (1 << 8 * width) - 1, 0, root)
+        search(0, lines, banned, live, 0, root)
     except SearchTimeout:
         return HittingSetResult(best_size, best_set, False, nodes)
     return HittingSetResult(best_size, best_set, True, nodes)
@@ -210,13 +207,7 @@ def m_of_arc(g: Geometry, arc: ArcRecord, budget: float | None = None) -> Hittin
     """
     if not arc.is_complete:
         raise CoveringError("m(K) is defined here only for complete arcs")
-    universe = g.all_points_mask & ~arc.mask
-    family = [g.line_point_incidence[lid] for lid in bits(arc.passants)]
-    return min_hitting_set(universe, family, budget)
-
-
-def _time_left(deadline: float | None) -> float | None:
-    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+    return min_hitting_set(g, g.all_points_mask & ~arc.mask, arc.passants, budget)
 
 
 def compute_Mq(g: Geometry, budget: float | None = None,
@@ -236,7 +227,7 @@ def compute_Mq(g: Geometry, budget: float | None = None,
     per_class = []
     for cls in classes:
         rep = records[cls[0]]
-        cover = m_of_arc(g, rep, _time_left(deadline))
+        cover = m_of_arc(g, rep, time_left(deadline))
         per_class.append(ClassCover(rep, len(cls), cover))
     best = min(per_class, key=lambda c: c.cover.minimum_size)
     worst = max(per_class, key=lambda c: c.cover.minimum_size)
@@ -385,7 +376,7 @@ def verify_appendix(which: str, budget: float | None = None) -> list[Claim]:
                    f"<= {cap}", worst, worst <= cap)
 
         t0 = time.perf_counter()
-        cover = m_of_arc(g, arc, _time_left(deadline))
+        cover = m_of_arc(g, arc, time_left(deadline))
         ok = cover.minimum_size >= data["min_cover_at_least"] if cover.optimal else None
         claims.append(Claim(f"{pre}.mincover", tag, "reference",
                             f">= {data['min_cover_at_least']}", str(cover.minimum_size),

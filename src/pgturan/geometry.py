@@ -11,6 +11,7 @@ line also has normalized dual coordinates, kept for parsing and printing.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -36,6 +37,11 @@ class SearchTimeout(Exception):
     @property
     def nodes(self) -> int:
         return self.args[0]
+
+
+def time_left(deadline: float | None) -> float | None:
+    """The budget left before a `time.monotonic()` deadline; None is no limit."""
+    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
 
 
 def bits(mask: int):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import bounds, refdata
 # render_claims lives beside Claim; it stays importable from here
-from .covering import (Claim, _time_left, claim_status, compute_Mq, passant_analysis,
+from .covering import (Claim, claim_status, compute_Mq, passant_analysis,
                        render_claims, verify_appendix)
 from .construction import (
     build_hypergraph,
@@ -28,7 +28,7 @@ from .construction import (
     contains_subgeometry,
     make_partition,
 )
-from .geometry import build_geometry
+from .geometry import build_geometry, time_left
 from .structures import enumerate_complete_arcs, max_blocking_set_size
 
 
@@ -125,12 +125,12 @@ def _classification_claims(arcs, mq) -> list[ClaimSpec]:
     return claims
 
 
-def _blocking_claims(time_left) -> list[ClaimSpec]:
+def _blocking_claims(left) -> list[ClaimSpec]:
     rows = [(2, None, "derived"), (3, 7, "derived"), (4, 14, "derived")]
     claims = []
     for q, expect, src in rows:
         def run(q=q, expect=expect):
-            res = max_blocking_set_size(build_geometry(2, q), budget=time_left())
+            res = max_blocking_set_size(build_geometry(2, q), budget=left())
             got = res.size
             return str(got), (got == expect if res.exact else None)
         claims.append(ClaimSpec(f"blocking.max.q{q}", f"blocking sets q={q}", src,
@@ -245,9 +245,9 @@ def _closed_form_claims() -> list[ClaimSpec]:
     return claims
 
 
-def _freeness_claims(time_left) -> list[ClaimSpec]:
+def _freeness_claims(left) -> list[ClaimSpec]:
     def search(h, q, want):
-        res = contains_subgeometry(h, build_geometry(2, q), budget=time_left())
+        res = contains_subgeometry(h, build_geometry(2, q), budget=left())
         return res.status, (None if res.status == "timeout" else res.status == want)
 
     def fano_yes():
@@ -279,7 +279,7 @@ def build_claim_specs(corrupt_field: bool = False,
     Every search engine a claim runs gets the time left before `deadline`
     (a `time.monotonic()` reading; None is no limit).
     """
-    time_left = functools.partial(_time_left, deadline)
+    left = functools.partial(time_left, deadline)
 
     @functools.cache
     def tables():
@@ -296,11 +296,11 @@ def build_claim_specs(corrupt_field: bool = False,
 
     @functools.cache
     def mq(q):
-        return compute_Mq(build_geometry(2, q), budget=time_left(), arcs=arcs(q))
+        return compute_Mq(build_geometry(2, q), budget=left(), arcs=arcs(q))
 
     @functools.cache
     def appendix(which):
-        return verify_appendix(which, budget=time_left())
+        return verify_appendix(which, budget=left())
 
     claims = []
     claims += _geometry_claims(corrupt=corrupt_field)
@@ -309,10 +309,10 @@ def build_claim_specs(corrupt_field: bool = False,
     claims += _optima_claims(optima)
     claims += _table_claims(tables)
     claims += _classification_claims(arcs, mq)
-    claims += _blocking_claims(time_left)
+    claims += _blocking_claims(left)
     claims += _mq_claims(mq)
     claims += _appendix_claims(appendix)
-    claims += _freeness_claims(time_left)
+    claims += _freeness_claims(left)
     return claims
 
 

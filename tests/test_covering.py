@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -78,28 +79,45 @@ def reference_witness(family, size):
     return first(0, 0)
 
 
+def line_family(g, universe, lines):
+    """The point sets the general oracles take: each line of the mask, cut
+    to the universe, in ascending line id."""
+    return [g.line_point_incidence[lid] & universe for lid in bits(lines)]
+
+
+def plane_instance(rng, q, point_share, line_share):
+    """A seeded random universe of PG(2,q) and a random share of the lines
+    that meet it."""
+    g = build_geometry(2, q)
+    universe = mask_of(p for p in range(g.n_points) if rng.random() < point_share)
+    lines = mask_of(lid for lid, lm in enumerate(g.line_point_incidence)
+                    if lm & universe and rng.random() < line_share)
+    return g, universe, lines
+
+
 def test_empty_family_is_free():
-    res = min_hitting_set((1 << 5) - 1, [])
+    g = build_geometry(2, 2)
+    res = min_hitting_set(g, g.all_points_mask, 0)
     assert (res.minimum_size, res.witness, res.optimal) == (0, 0, True)
 
 
 def test_disjoint_line_rejected():
-    with pytest.raises(CoveringError):
-        min_hitting_set(0b0011, [0b1100])
+    # the universe is the complement of line 3
+    g = build_geometry(2, 2)
+    universe = g.all_points_mask & ~g.line_point_incidence[3]
+    with pytest.raises(CoveringError, match="^line 3 does not meet the universe$"):
+        min_hitting_set(g, universe, 0b1001)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_brute_force(data):
-    n = data.draw(st.integers(3, 12))
-    universe = (1 << n) - 1
-    n_lines = data.draw(st.integers(1, 10))
-    family = []
-    for _ in range(n_lines):
-        size = data.draw(st.integers(1, n))
-        pts = data.draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size))
-        family.append(mask_of(pts))
-    res = min_hitting_set(universe, family)
+    g = build_geometry(2, data.draw(st.sampled_from([2, 3])))
+    universe = mask_of(data.draw(st.sets(st.integers(0, g.n_points - 1), min_size=1)))
+    meeting = [lid for lid, lm in enumerate(g.line_point_incidence) if lm & universe]
+    lines = mask_of(data.draw(st.sets(st.sampled_from(meeting), min_size=1)))
+    family = line_family(g, universe, lines)
+    res = min_hitting_set(g, universe, lines)
     assert res.optimal
     assert res.minimum_size == brute_minimum(universe, family)
     assert res.witness.bit_count() == res.minimum_size
@@ -247,20 +265,21 @@ def test_frame_anchored_q9_arcs_need_eight_points(q9_frame_arcs):
     assert sum(r.explored_nodes for r in results) == 18_325
 
 
-def assert_matches_reference(universe, family):
+def assert_matches_reference(g, universe, lines):
     """The kernel equals the reference; returns the kernel's result and the
     reference's with the dead-line rule."""
-    got = min_hitting_set(universe, family)
+    got = min_hitting_set(g, universe, lines)
+    family = line_family(g, universe, lines)
     want = min_hitting_set_reference(universe, family)
     assert (got.minimum_size, got.witness, got.explored_nodes) == \
         (want.minimum_size, want.witness, want.explored_nodes)
     return got, min_hitting_set_reference(universe, family, dead_lines=True)
 
 
-def assert_dead_lines_cut_nothing(universe, family):
+def assert_dead_lines_cut_nothing(g, arc):
     # every line of a plane-arc family is a passant: q+1 points off the arc,
     # so no line can lose its last candidate before depth q+1
-    got, dead = assert_matches_reference(universe, family)
+    got, dead = assert_matches_reference(g, g.all_points_mask & ~arc.mask, arc.passants)
     assert (dead.minimum_size, dead.witness, dead.explored_nodes) == \
         (got.minimum_size, got.witness, got.explored_nodes)
 
@@ -268,9 +287,7 @@ def assert_dead_lines_cut_nothing(universe, family):
 def test_hitting_set_matches_reference_on_q9_arcs(q9_frame_arcs):
     g, arcs = q9_frame_arcs
     for arc in arcs:
-        assert_dead_lines_cut_nothing(
-            g.all_points_mask & ~arc.mask,
-            [g.line_point_incidence[lid] for lid in bits(arc.passants)])
+        assert_dead_lines_cut_nothing(g, arc)
 
 
 @pytest.mark.parametrize("q,step", [(7, 1), (8, 1),
@@ -281,44 +298,55 @@ def test_hitting_set_matches_reference_on_plane_arcs(q, step):
     arcs = enumerate_complete_arcs(g, force=True)[::step]
     assert arcs
     for arc in arcs:
-        assert_dead_lines_cut_nothing(
-            g.all_points_mask & ~arc.mask,
-            [g.line_point_incidence[lid] for lid in bits(arc.passants)])
+        assert_dead_lines_cut_nothing(g, arc)
 
 
 def test_greedy_tie_takes_the_lower_point():
-    # points 3 and 9 each meet all three lines, so the greedy cover is one
-    # point and optimal; the lower point wins the tie
-    family = [mask_of(s) for s in ((3, 9, 0), (3, 9, 12), (3, 9, 5))]
-    res = min_hitting_set(mask_of(range(13)), family)
-    assert (res.minimum_size, tuple(bits(res.witness)), res.optimal) == (1, (3,), True)
-    assert res.witness == reference_witness(family, 1)
+    # the sides of the Fano triangle 1, 4, 6: each vertex meets two sides and
+    # every other point one, so the greedy takes vertex 1, then the lowest
+    # point of the opposite side, 4; two points are optimal
+    g = build_geometry(2, 2)
+    pair = g.pair_line
+    sides = mask_of((pair[1][4], pair[4][6], pair[6][1]))
+    res = min_hitting_set(g, g.all_points_mask, sides)
+    assert (res.minimum_size, tuple(bits(res.witness)), res.optimal) == (2, (1, 4), True)
+    assert res.witness == reference_witness(line_family(g, g.all_points_mask, sides), 2)
+
+
+def star(n_lines):
+    """A stand-in for a geometry: `n_lines` two-point lines through point 0.
+    No plane has a point on more than 255 lines."""
+    return types.SimpleNamespace(
+        line_point_incidence=tuple(1 | 1 << i for i in range(1, n_lines + 1)),
+        point_line_incidence=((1 << n_lines) - 1, *(1 << i for i in range(n_lines))),
+        all_points_mask=(1 << n_lines + 1) - 1)
 
 
 def test_point_on_more_than_255_members_rejected():
-    # point 0 lies on every member; its uncovered-line count must fit a byte
-    family = [1 | 1 << i for i in range(1, 257)]
+    # point 0 lies on every line; its uncovered-line count must fit a byte
+    big = star(256)
     with pytest.raises(CoveringError, match="255"):
-        min_hitting_set((1 << 257) - 1, family)
-    res = min_hitting_set((1 << 256) - 1, family[:255])
+        min_hitting_set(big, big.all_points_mask, (1 << 256) - 1)
+    fits = star(255)
+    res = min_hitting_set(fits, fits.all_points_mask, (1 << 255) - 1)
     assert (res.minimum_size, res.witness, res.optimal) == (1, 1, True)
 
 
 def test_hitting_set_matches_reference_on_short_lines():
-    # short lines sharing points make the bound bite often, so a stale count
-    # changes node counts here; they are also the only families where the
-    # dead-line rule cuts nodes, and it changes no size or witness
+    # plane lines cut to a sparse universe are short and share points, so
+    # the bound bites often and a stale count changes node counts here; they
+    # are also the only families where the dead-line rule cuts nodes, and it
+    # changes no size or witness
     rng = random.Random(1)
     nodes = dead_nodes = 0
     for _ in range(1000):
-        n = rng.randint(6, 20)
-        family = [mask_of(rng.sample(range(n), rng.randint(2, max(2, n // 3))))
-                  for _ in range(rng.randint(5, 30))]
-        got, dead = assert_matches_reference((1 << n) - 1, family)
+        g, universe, lines = plane_instance(rng, rng.choice([4, 5, 7]),
+                                            rng.uniform(0.15, 0.4), rng.uniform(0.5, 1))
+        got, dead = assert_matches_reference(g, universe, lines)
         assert (dead.minimum_size, dead.witness) == (got.minimum_size, got.witness)
         nodes += got.explored_nodes
         dead_nodes += dead.explored_nodes
-    assert (nodes, dead_nodes) == (10_472, 10_441)
+    assert (nodes, dead_nodes) == (11_828, 11_793)
 
 
 def test_mq_report_bounds():
@@ -465,24 +493,30 @@ def test_mq_budget_guard():
         compute_Mq(build_geometry(2, 9))
 
 
+def hard_plane_instance():
+    """About 70% of PG(2,9) and 80% of the lines meeting it: 7,248 nodes."""
+    return plane_instance(random.Random(2), 9, 0.7, 0.8)
+
+
 def test_hitting_set_zero_budget_stops_at_root():
-    family = [mask_of(pair) for pair in ((0, 1), (1, 2), (2, 3), (3, 0))]
-    res = min_hitting_set(0b1111, family, budget=0)
+    g, universe, lines = hard_plane_instance()
+    res = min_hitting_set(g, universe, lines, budget=0)
     assert (res.optimal, res.explored_nodes) == (False, 1)
-    assert min_hitting_set(0b1111, family).optimal
+    res = min_hitting_set(g, universe, lines)
+    assert (res.optimal, res.explored_nodes) == (True, 7_248)
 
 
 def test_hitting_set_times_out_at_its_first_periodic_read(stalled_clock):
-    # this family needs 8,867 nodes; the clock passes the deadline after the
-    # root read, so the search stops at the read of node 4096
-    rng = random.Random(1)
-    family = [mask_of(rng.sample(range(40), 4)) for _ in range(60)]
+    # the clock passes the deadline after the root read, so the search stops
+    # at the read of node 4096
+    g, universe, lines = hard_plane_instance()
     stalled_clock("pgturan.covering")
-    res = min_hitting_set((1 << 40) - 1, family, budget=1)
+    res = min_hitting_set(g, universe, lines, budget=1)
     assert (res.optimal, res.explored_nodes) == (False, 4096)
     # the incumbent is still a cover of its stated size
     assert res.witness.bit_count() == res.minimum_size
-    assert all(res.witness & lm for lm in family)
+    assert not res.witness & ~universe
+    assert all(res.witness & lm for lm in line_family(g, universe, lines))
 
 
 def test_zero_budget_bounds_the_whole_call():
