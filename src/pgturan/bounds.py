@@ -6,18 +6,22 @@ first maximum of the polynomial over a fixed grid of floats.  On a segment it
 binary-searches the samples, which is sound because the polynomial's
 Bernstein coefficients rise and then fall, so it is unimodal there.  On a
 simplex it runs a best-first Bernstein branch and bound over boxes of grid
-indices.  Golden-section steps then refine the grid point in floats; on a
-simplex they run as a coordinate ascent over line functions compiled once per
-polynomial, which return the factored form's floats bit for bit.  The
-reported value is the exact rational value of the polynomial at the refined
-point, so it carries well past the 10 digits the comparisons need.  Only the
-standard library is used.
+indices.  Golden-section steps then refine the grid point in floats, over
+line functions compiled once per polynomial, which return the factored
+form's floats bit for bit; on a simplex they run as a coordinate ascent.
+The reported value is the exact rational value of the polynomial at the
+refined point, so it carries well past the 10 digits the comparisons need.
+Each stage reads one representation of a `BoundPolynomial`, whatever its
+constraint: the grid start its `power_form`, the refinement its
+`line_functions`, the reported value `evaluate`.  Only the standard library
+is used.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -57,97 +61,99 @@ class BoundPolynomial:
             total += term
         return total
 
-    def univariate(self) -> list[Fraction]:
-        """Expansion in alpha alone after substituting the segment constraint.
+    def power_form(self) -> dict[tuple[int, int], Fraction]:
+        """Exact nonzero coefficients in (alpha, beta) once the constraint's
+        dependent variable, the last, is substituted: beta = 1 - t*alpha on a
+        segment, so every key is (d, 0), and gamma = (1 - alpha - beta)/(M-1)
+        on a simplex."""
+        kind, n = self.constraint
+        slopes, div = ((n,), 1) if kind == "segment" else ((1, 1), n - 1)
+        out: dict[tuple[int, int], Fraction] = {}
+        for (*free, k), c in self.monomials.items():
+            # c * (free powers) * ((1 - sum(slope * var)) / div)^k, multinomially
+            c = c / div ** k
+            for r in itertools.product(range(k + 1), repeat=len(slopes)):
+                if sum(r) <= k:
+                    ways = math.factorial(k) // math.prod(map(math.factorial, (*r, k - sum(r))))
+                    term = c * (ways * math.prod((-s) ** e for s, e in zip(slopes, r)))
+                    key = tuple(f + e for f, e in zip(free, r)) + (0,) * (2 - len(free))
+                    out[key] = out.get(key, 0) + term
+        return {e: c for e, c in out.items() if c}
 
-        Index d is the coefficient of alpha^d.  Only defined for segment
-        constraints.
-        """
-        if self.constraint[0] != "segment":
-            raise BoundsError("univariate form needs the segment constraint")
-        t = self.constraint[1]
-        out = [Fraction(0)] * (max(sum(e) for e in self.monomials) + 1)
-        for (i, j), coeff in self.monomials.items():
-            # coeff * alpha^i * (1 - t*alpha)^j
-            for r in range(j + 1):
-                out[i + r] += coeff * math.comb(j, r) * Fraction(-t) ** r
-        return out
-
-    def factored_evaluator(self):
-        """Float evaluator of the unexpanded segment form, the sum of
-        c * alpha**i * beta**j with beta = 1 - t*alpha."""
-        if self.constraint[0] != "segment":
-            raise BoundsError("factored evaluator needs the segment constraint")
-        t = self.constraint[1]
-        terms = [(float(c), i, j) for (i, j), c in self.monomials.items()]
-
-        def ev(alpha: float) -> float:
-            beta = 1.0 - t * alpha
-            return sum(c * alpha ** i * beta ** j for c, i, j in terms)
-
-        return ev
-
-    def line_functions(self):
-        """`(along_alpha, along_beta)` for a simplex polynomial.
-
-        `along_alpha(b)(x)` and `along_beta(a)(y)` are the unexpanded form at
-        (x, b) and (a, y), bit for bit: the `sum`, in monomial order, of
-        c * alpha**i * beta**j * gamma**k with gamma = (1 - alpha - beta)/(M-1),
-        each term multiplied left to right, with only the exact factors
-        x**0 == 1.0 and x**1 == x dropped.  What does not move along the line
-        (b**j, or the leading product c * a**i) is computed once per line,
-        each other power once per call.  Both are compiled from generated
+    def line_functions(self) -> tuple:
+        """The unexpanded form's floats along lines, compiled from generated
         source once per polynomial.
+
+        A segment gives `(line,)`: `line(x)` is the `sum`, in monomial order,
+        of c * alpha**i * beta**j at alpha = x, beta = 1 - t*x.  A simplex
+        gives `(along_alpha, along_beta)`: `along_alpha(b)(x)` and
+        `along_beta(a)(y)` are the sum of c * alpha**i * beta**j * gamma**k
+        at (x, b) and (a, y), gamma = (1 - alpha - beta)/(M-1).  Each is the
+        factored form bit for bit; `_line_source` says why.
         """
-        if self.constraint[0] != "simplex":
-            raise BoundsError("line functions need the simplex constraint")
-        terms = [(repr(float(c)), *e) for e, c in self.monomials.items()]
-        div = self.constraint[1] - 1
-        # along alpha: c * x**i * b**j * g**k, with b**j fixed per line
-        alpha_fixed = _powers("b", {j for _, _, j, _ in terms})
-        alpha_free = _powers("x", {i for _, i, _, _ in terms})
-        alpha_sum = [_product(c, _power("x", i), _power("b", j), _power("g", k))
-                     for c, i, j, k in terms]
-        # along beta: p * y**j * g**k, with p = c * a**i fixed per line
-        beta_fixed = _powers("a", {i for _, i, _, _ in terms}) + [
-            f"p{n} = {_product(c, _power('a', i))}" for n, (c, i, _, _) in enumerate(terms)]
-        beta_free = _powers("y", {j for _, _, j, _ in terms})
-        beta_sum = [_product(f"p{n}", _power("y", j), _power("g", k))
-                    for n, (_, _, j, k) in enumerate(terms)]
-        gamma = _powers("g", {k for *_, k in terms})
-        src = "\n".join([
-            "def along_alpha(b):",
-            *(f"    {s}" for s in alpha_fixed),
-            "    def line(x):",
-            f"        g = (1.0 - x - b) / {div}",
-            *(f"        {s}" for s in alpha_free + gamma),
-            f"        return sum([{', '.join(alpha_sum)}])",
-            "    return line",
-            "def along_beta(a):",
-            *(f"    {s}" for s in beta_fixed),
-            "    def line(y):",
-            f"        g = (1.0 - a - y) / {div}",
-            *(f"        {s}" for s in beta_free + gamma),
-            f"        return sum([{', '.join(beta_sum)}])",
-            "    return line",
-        ])
+        kind, n = self.constraint
+        terms = [(repr(float(c)), e) for e, c in self.monomials.items()]
+        if kind == "segment":
+            src = _line_source("segment", "", f"y = 1.0 - {n} * x",
+                               [(c, ("x", i), ("y", j)) for c, (i, j) in terms])
+        else:
+            src = (_line_source("along_alpha", "b", f"g = (1.0 - x - b) / {n - 1}",
+                                [(c, ("x", i), ("b", j), ("g", k)) for c, (i, j, k) in terms])
+                   + _line_source("along_beta", "a", f"g = (1.0 - a - x) / {n - 1}",
+                                  [(c, ("a", i), ("x", j), ("g", k)) for c, (i, j, k) in terms]))
         namespace: dict = {}
-        exec(compile(src, "<line functions>", "exec"), namespace)
+        exec(compile("\n".join(src), "<line functions>", "exec"), namespace)
+        if kind == "segment":
+            return (namespace["segment"](),)
         return namespace["along_alpha"], namespace["along_beta"]
 
 
-def _power(var: str, e: int) -> str | None:
-    """Source of the factor var**e: none for e = 0, var for e = 1, else its name."""
-    return None if e == 0 else var if e == 1 else f"{var}{e}"
+def _line_source(name: str, fixed: str, dependent: str, terms) -> list[str]:
+    """Source of `name(fixed)`, which returns `line(x)`: the `sum`, in order,
+    of the products in `terms`, each a coefficient's repr and then (variable,
+    exponent) factors, multiplied left to right.  `fixed` names the variable
+    that stays put along the line ("" for none), and `dependent` assigns the
+    substituted variable from x on each call.
+
+    The floats are the factored form's bit for bit: only the exact factors
+    v**0 == 1.0 and v**1 == v are dropped, a product's leading factors that
+    do not move along the line (the coefficient, then powers of `fixed`) are
+    multiplied once per line, every power of `fixed` is taken once per line
+    and every other power once per call.
+    """
+    exponents: dict[str, set[int]] = {}
+    per_line, products = [], []
+    for n, (c, *factors) in enumerate(terms):
+        factors = [(v, e) for v, e in factors if e]
+        for v, e in factors:
+            exponents.setdefault(v, set()).add(e)
+        lead = [c]
+        while factors and factors[0][0] == fixed:
+            lead.append(_power(*factors.pop(0)))
+        if len(lead) > 1:
+            per_line.append(f"p{n} = {' * '.join(lead)}")
+            lead = [f"p{n}"]
+        products.append(" * ".join([*lead, *(_power(v, e) for v, e in factors)]))
+    per_call = [s for v, es in exponents.items() if v != fixed for s in _powers(v, es)]
+    return [
+        f"def {name}({fixed}):",
+        *(f"    {s}" for s in _powers(fixed, exponents.get(fixed, ())) + per_line),
+        "    def line(x):",
+        f"        {dependent}",
+        *(f"        {s}" for s in per_call),
+        f"        return sum([{', '.join(products)}])",
+        "    return line",
+    ]
+
+
+def _power(var: str, e: int) -> str:
+    """Source of the factor var**e, e >= 1: var for e = 1, else its name."""
+    return var if e == 1 else f"{var}{e}"
 
 
 def _powers(var: str, exponents) -> list[str]:
     """Assignments of each var**e, e >= 2, that `_power` names."""
     return [f"{var}{e} = {var} ** {e}" for e in sorted(exponents) if e > 1]
-
-
-def _product(*factors) -> str:
-    return " * ".join(f for f in factors if f is not None)
 
 
 @dataclass
@@ -363,11 +369,12 @@ def _segment_start(poly: BoundPolynomial) -> tuple[int, Fraction]:
     is compared on its own.
     """
     t = poly.constraint[1]
-    coeffs = poly.univariate()
-    if not _rises_then_falls(_bernstein([c / t ** d for d, c in enumerate(coeffs)])):
+    form = poly.power_form()
+    degree = max(map(sum, poly.monomials))
+    coeffs = [form.get((d, 0), Fraction(0)) / t ** d for d in range(degree + 1)]
+    if not _rises_then_falls(_bernstein(coeffs)):
         raise BoundsError("segment polynomial is not certified unimodal")
-    ev = _DyadicPoly({(d, 0): c for d, c in enumerate(coeffs) if c},
-                     _dyadic_exponent(_segment_tick(t, 1)))
+    ev = _DyadicPoly(form, _dyadic_exponent(_segment_tick(t, 1)))
 
     @functools.cache
     def value(k: int) -> int:
@@ -385,19 +392,6 @@ def _segment_start(poly: BoundPolynomial) -> tuple[int, Fraction]:
     return lo, Fraction(value(lo), ev.scale)
 
 
-def _simplex_in_alpha_beta(poly: BoundPolynomial) -> dict[tuple[int, int], Fraction]:
-    """Expansion in (alpha, beta) after gamma = (1 - alpha - beta)/(M - 1)."""
-    m_val = poly.constraint[1]
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j, k), c in poly.monomials.items():
-        c = c / (m_val - 1) ** k
-        for a in range(k + 1):
-            for b in range(k - a + 1):
-                term = c * math.comb(k, a) * math.comb(k - a, b) * (-1) ** (a + b)
-                out[i + a, j + b] = out.get((i + a, j + b), 0) + term
-    return {e: c for e, c in out.items() if c}
-
-
 def _simplex_start(poly: BoundPolynomial) -> tuple[int, int, Fraction]:
     """First (row-major) tick pair (i, j), i + j <= 2000, of the largest exact value.
 
@@ -410,7 +404,7 @@ def _simplex_start(poly: BoundPolynomial) -> tuple[int, int, Fraction]:
     below the best tick value found, and evaluates every tick of boxes of
     width 2.
     """
-    coeffs = _simplex_in_alpha_beta(poly)
+    coeffs = poly.power_form()
     deg_a = max(k for k, _ in coeffs)
     deg_b = max(l for _, l in coeffs)
     ev = _DyadicPoly(coeffs, _dyadic_exponent(_simplex_tick(1)))
@@ -456,12 +450,12 @@ def _simplex_start(poly: BoundPolynomial) -> tuple[int, int, Fraction]:
 def _optimize_segment(poly: BoundPolynomial) -> OptResult:
     t = poly.constraint[1]
     k, _ = _segment_start(poly)
-    ev = poly.factored_evaluator()
+    line, = poly.line_functions()
     lo = _segment_tick(t, max(k - 1, 0))
     hi = _segment_tick(t, min(k + 1, SEGMENT_SAMPLES - 1))
-    x = _golden_max(ev, lo, hi)
+    x = _golden_max(line, lo, hi)
     return _result(poly, (Fraction(x), 1 - t * Fraction(x)),
-                   {"alpha": x, "beta": 1 - t * x})
+                   dict(zip(poly.variables, (x, 1 - t * x))))
 
 
 def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
@@ -480,8 +474,7 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
         if moved < 1e-12:
             break
     gm = (1 - Fraction(a) - Fraction(b)) / (m_val - 1)
-    return _result(poly, (a, b, gm),
-                   {"alpha": a, "beta": b, "gamma": float(gm)})
+    return _result(poly, (a, b, gm), dict(zip(poly.variables, (a, b, float(gm)))))
 
 
 def optimize_bound(poly: BoundPolynomial) -> OptResult:

@@ -159,28 +159,25 @@ def _cmd_bounds(args) -> int:
             out["binary_upper"] = _frac(bounds.pg2_upper(args.m))
         if args.chi is not None:
             out["chromatic_lower"] = _frac(bounds.chromatic_lower(args.q, args.chi))
-    elif args.theorem == "2":
-        t = args.t if args.t is not None else bounds.corollary1_t(args.m, args.q)
-        poly = bounds.theorem2_polynomial(args.q, t)
-        res = bounds.optimize_bound(poly)
-        out = {"m": args.m, "q": args.q, "t": t,
-               "monomials": {f"alpha^{e[0]}*beta^{e[1]}": str(c)
-                             for e, c in sorted(poly.monomials.items())},
-               "optimum": {"value": res.value, "alpha": res.argmax["alpha"],
-                           "value_50digit": res.value_str}}
     else:
-        M = args.M_value
-        if M is None:
-            from .covering import compute_Mq
-            from .geometry import build_geometry
-            M = compute_Mq(build_geometry(2, args.q)).M_q
-        poly = bounds.theorem3_polynomial(args.q, M)
+        if args.theorem == "2":
+            t = args.t if args.t is not None else bounds.corollary1_t(args.m, args.q)
+            poly = bounds.theorem2_polynomial(args.q, t)
+            out = {"m": args.m, "q": args.q, "t": t}
+        else:
+            M = args.M_value
+            if M is None:
+                from .covering import compute_Mq
+                from .geometry import build_geometry
+                M = compute_Mq(build_geometry(2, args.q)).M_q
+            poly = bounds.theorem3_polynomial(args.q, M)
+            out = {"q": args.q, "M": M}
         res = bounds.optimize_bound(poly)
-        out = {"q": args.q, "M": M,
-               "monomials": {f"alpha^{e[0]}*beta^{e[1]}*gamma^{e[2]}": str(c)
-                             for e, c in sorted(poly.monomials.items())},
-               "optimum": {"value": res.value, "argmax": res.argmax,
-                           "value_50digit": res.value_str}}
+        out["monomials"] = {"*".join(f"{v}^{x}" for v, x in zip(poly.variables, e)): str(c)
+                            for e, c in sorted(poly.monomials.items())}
+        where = ({"alpha": res.argmax["alpha"]} if args.theorem == "2"
+                 else {"argmax": res.argmax})
+        out["optimum"] = {"value": res.value, **where, "value_50digit": res.value_str}
     _emit(out, "json")
     return 0
 

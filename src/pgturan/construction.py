@@ -133,10 +133,6 @@ class Hypergraph:
     spec: PartitionSpec | None = None
 
 
-def complete_hypergraph(n: int, r: int) -> Hypergraph:
-    return Hypergraph(n=n, r=r, edges=list(map(mask_of, itertools.combinations(range(n), r))))
-
-
 def build_hypergraph(spec: PartitionSpec) -> Hypergraph:
     """Explicit edge list of the partition construction (desk scale only)."""
     cap = DEFAULT_MAX_N.get(spec.q, 18)

@@ -23,8 +23,8 @@ from . import bounds, refdata
 from .covering import (Claim, claim_status, compute_Mq, passant_analysis,
                        render_claims, verify_appendix)
 from .construction import (
+    PartitionSpec,
     build_hypergraph,
-    complete_hypergraph,
     contains_subgeometry,
     make_partition,
 )
@@ -251,7 +251,8 @@ def _freeness_claims(left) -> list[ClaimSpec]:
         return res.status, (None if res.status == "timeout" else res.status == want)
 
     def fano_yes():
-        return search(complete_hypergraph(7, 3), 2, "yes")
+        # K_7^3: one part X of cap 3 takes every 3-set
+        return search(build_hypergraph(PartitionSpec(7, 2, (7,), (3,), (7.0,))), 2, "yes")
 
     def t2_free():
         return search(build_hypergraph(make_partition(14, 2, 2, "t2", (1 / 12,), k=0)),

@@ -1,7 +1,10 @@
 """Independent oracles the tests check the library against; the library never
 calls them."""
 
-from pgturan.geometry import bits
+import itertools
+
+from pgturan.construction import Hypergraph
+from pgturan.geometry import bits, mask_of
 
 
 def field_dot(f, u, v) -> int:
@@ -43,6 +46,25 @@ def exhaustive_cover_exists(universe: int, family, size: int) -> bool:
         return False
 
     return go(sorted(fam, key=lambda m: m.bit_count()), size)
+
+
+def complete_hypergraph(n: int, r: int) -> Hypergraph:
+    """K_n^r, every r-set an edge, with no partition spec, so an embedding
+    search on it runs the generic backtracking."""
+    return Hypergraph(n=n, r=r, edges=list(map(mask_of, itertools.combinations(range(n), r))))
+
+
+def segment_evaluator(poly):
+    """Float evaluator of a segment polynomial's unexpanded form: the sum, in
+    monomial order, of c * alpha**i * beta**j with beta = 1 - t*alpha."""
+    t = poly.constraint[1]
+    terms = [(float(c), e) for e, c in poly.monomials.items()]
+
+    def ev(alpha: float) -> float:
+        beta = 1.0 - t * alpha
+        return sum(c * alpha ** e[0] * beta ** e[1] for c, e in terms)
+
+    return ev
 
 
 def simplex_evaluator(poly):

@@ -25,7 +25,6 @@ from pgturan.bounds import (
 )
 from pgturan.construction import (
     build_hypergraph,
-    complete_hypergraph,
     contains_subgeometry,
     count_edges_exact,
     make_partition,
@@ -33,6 +32,8 @@ from pgturan.construction import (
 from pgturan.covering import compute_Mq, passant_analysis, verify_appendix
 from pgturan.geometry import build_geometry
 from pgturan.structures import classify_up_to_collineation, enumerate_complete_arcs
+
+from oracles import complete_hypergraph
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -30,7 +30,7 @@ from pgturan.bounds import (
     value_string,
 )
 
-from oracles import simplex_evaluator
+from oracles import segment_evaluator, simplex_evaluator
 
 # --- closed forms ---------------------------------------------------------------
 
@@ -112,15 +112,31 @@ def test_blocking_polynomial_expansion_agrees_with_factored_form():
     rng = random.Random(7)
     for q, t in ((3, 5), (8, 11)):
         poly = theorem2_polynomial(q, t)
-        coeffs = poly.univariate()
+        form = poly.power_form()
+        assert all(l == 0 for _, l in form)
         for i in range(100):
             a = Fraction(rng.uniform(0, 1 / t))
-            expanded = sum(c * a ** d for d, c in enumerate(coeffs))
+            expanded = sum(c * a ** d for (d, _), c in form.items())
             assert expanded == poly.evaluate((a, 1 - t * a))
             if i < 10:
                 ar = Fraction(rng.randint(0, 10 ** 9), 10 ** 9 * t)
-                exact_exp = sum(c * ar ** d for d, c in enumerate(coeffs))
+                exact_exp = sum(c * ar ** d for (d, _), c in form.items())
                 assert exact_exp == poly.evaluate((ar, 1 - t * ar))
+
+
+def test_simplex_power_form_agrees_with_factored_form():
+    # the expansion in (alpha, beta) equals the polynomial at gamma =
+    # (1 - alpha - beta)/(M - 1) on every catalog plane, at random rationals
+    rng = random.Random(8)
+    for q, (M, _, _) in refdata.ARC_BOUND_OPTIMA.items():
+        poly = theorem3_polynomial(q, M)
+        form = poly.power_form()
+        assert all(c != 0 for c in form.values())
+        for _ in range(20):
+            a = Fraction(rng.randint(0, 10 ** 6), 10 ** 6)
+            b = Fraction(rng.randint(0, 10 ** 6), 10 ** 6) * (1 - a)
+            expanded = sum(c * a ** k * b ** l for (k, l), c in form.items())
+            assert expanded == poly.evaluate((a, b, (1 - a - b) / (M - 1))), (q, a, b)
 
 
 def _theorem2_reference(q, t):
@@ -204,7 +220,7 @@ def test_optimizer_beats_printed_alpha_on_tables():
     for name, rows in reproduce_tables().items():
         for r in rows:
             poly = theorem2_polynomial(r.q, r.t)
-            ev = poly.factored_evaluator()
+            ev = segment_evaluator(poly)
             assert r.cor1 >= ev(float(r.printed[2])) - 1e-12
 
 
@@ -243,10 +259,15 @@ def test_line_functions_match_factored_evaluator_bit_for_bit():
                 assert on_alpha(x) == ev(x, b), (poly.provenance, x, b)
             for y in (0.0, 1.0 - a, b, *(rng.random() * (1.0 - a) for _ in range(4))):
                 assert on_beta(y) == ev(a, y), (poly.provenance, a, y)
-    with pytest.raises(BoundsError):
-        theorem2_polynomial(3, 5).line_functions()
-    with pytest.raises(BoundsError, match="segment"):
-        theorem3_polynomial(3, 2).factored_evaluator()
+    # a segment compiles to one line, the factored form at beta = 1 - t*alpha
+    for m, table in ((2, refdata.TABLE1_M2), (3, refdata.TABLE2_M3)):
+        for q in table:
+            t = corollary1_t(m, q)
+            poly = theorem2_polynomial(q, t)
+            ev = segment_evaluator(poly)
+            line, = poly.line_functions()
+            for x in (0.0, 1.0 / t, *(rng.random() / t for _ in range(50))):
+                assert line(x) == ev(x), (poly.provenance, x)
 
 
 def test_simplex_argmax_bits_pinned():
@@ -417,7 +438,8 @@ def test_simplex_grid_start_breaks_ties_row_major():
 
 def test_halving_keeps_bernstein_coefficients_exact():
     # the end coefficients on every subinterval are the polynomial's values there
-    coeffs = theorem2_polynomial(5, 9).univariate()
+    form = theorem2_polynomial(5, 9).power_form()
+    coeffs = [form.get((d, 0), Fraction(0)) for d in range(7)]   # degree q + 1
     n, depth = len(coeffs) - 1, 10
     bern = bounds._bernstein(coeffs)
     scale = math.lcm(*(b.denominator for b in bern)) << (n * depth)

@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from pgturan import construction, verify
 from pgturan.construction import (
     ConstructionError,
     Hypergraph,
+    PartitionSpec,
     _edge_count,
     _pattern_order,
     build_hypergraph,
-    complete_hypergraph,
     contains_subgeometry,
     count_edges_exact,
     displayed_lower_bound,
@@ -24,6 +25,8 @@ from pgturan.construction import (
 )
 from pgturan.bounds import theorem2_polynomial, theorem3_polynomial
 from pgturan.geometry import bits, build_geometry, mask_of
+
+from oracles import complete_hypergraph
 
 
 def random_spec(rng, q=None):
@@ -302,6 +305,23 @@ def test_complete_host_contains_fano():
     assert len(image) == 7
     for line in fano.line_point_incidence:
         assert len({res.witness[p] for p in bits(line)}) == 3
+
+
+def test_catalog_decides_freeness_on_the_part_count_search(monkeypatch):
+    # K_7^3 is a one-part partition host: X of cap 3 takes every 3-set
+    one_part = build_hypergraph(PartitionSpec(7, 2, (7,), (3,), (7.0,)))
+    assert sorted(one_part.edges) == sorted(complete_hypergraph(7, 3).edges)
+    # so every freeness claim, the K_7^3 positive control included, runs the
+    # search whose "no" the catalog trusts
+    calls = Counter()
+    for name in ("_search_colored", "_search_generic"):
+        def spy(*args, name=name, original=getattr(construction, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(construction, name, spy)
+    claims = {c.claim_id: c for c in verify.run_all(budget=None)}
+    assert claims["freeness.k7.contains"].status == "pass"
+    assert calls == {"_search_colored": 3}
 
 
 def test_uniformity_mismatch_rejected():

@@ -21,7 +21,7 @@ from pgturan.covering import (
     verify_appendix,
 )
 from pgturan import refdata
-from pgturan.construction import complete_hypergraph, contains_subgeometry
+from pgturan.construction import contains_subgeometry
 from pgturan.geometry import build_geometry, format_coords, point_of
 from pgturan.structures import (
     apply_projectivity,
@@ -34,7 +34,7 @@ from pgturan.structures import (
     secant_profile,
 )
 
-from oracles import exhaustive_cover_exists
+from oracles import complete_hypergraph, exhaustive_cover_exists
 
 
 def brute_minimum(universe, family):
