@@ -288,10 +288,17 @@ def _simplex_tick(i: int) -> float:
 
 
 def _bernstein(coeffs: list[Fraction]) -> list[Fraction]:
-    """Bernstein coefficients on [0, 1] of sum_d coeffs[d] x^d, of degree len - 1."""
+    """Bernstein coefficients on [0, 1] of sum_d coeffs[d] x^d, of degree len - 1.
+
+    The r-th is sum_{d <= r} C(r, d) coeffs[d] / C(n, d), summed in integers
+    over one common denominator.
+    """
     n = len(coeffs) - 1
-    return [sum(Fraction(math.comb(r, d), math.comb(n, d)) * coeffs[d]
-                for d in range(r + 1)) for r in range(n + 1)]
+    dens = [c.denominator * math.comb(n, d) for d, c in enumerate(coeffs)]
+    den = math.lcm(*dens)
+    nums = [c.numerator * (den // e) for c, e in zip(coeffs, dens)]
+    return [Fraction(sum(math.comb(r, d) * nums[d] for d in range(r + 1)), den)
+            for r in range(n + 1)]
 
 
 def _rises_then_falls(seq) -> bool:

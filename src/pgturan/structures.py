@@ -10,8 +10,11 @@ The two exact searches carry line masks down their recursion instead of
 rescanning every line at each node: the arc enumeration carries the lines
 its arc meets, so each result is complete by construction and its secant
 profile is read off the unmet lines; the blocking-set search carries the
-uncovered lines and the lines through banned points.  Collineations work
-on 3x3 matrices through the field's add, mul, neg and inv tables.
+uncovered lines and the lines through banned points.  Both decide a child
+that cannot branch in its parent's loop and make no call for it: a complete
+arc is recorded and a dead end skipped there, and a blocking-set child that
+fails the size bound on entry is counted there.  Collineations work on 3x3
+matrices through the field's add, mul, neg and inv tables.
 """
 
 from __future__ import annotations
@@ -91,6 +94,13 @@ def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingS
     none, the lowest uncovered line, whose q+1 points are all candidates, is
     the branch line.  A line with no candidate left has the fewest, so it
     becomes the branch line and its node has no child.
+
+    A child that leaves more uncovered lines than (target - size - 1) points
+    can meet would fail the bound on entry, so its parent settles it in its
+    own loop: it counts the node, reads the clock where the child would have,
+    bans the point and makes no call.  The node count, the clock reads and
+    the witness are those of calling every child; at q=5 such children are
+    103,031 of the 148,865 nodes.
     """
     deadline = time.monotonic() + budget if budget is not None else None
     q = g.q
@@ -108,7 +118,7 @@ def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingS
         if (deadline is not None and (nodes == 1 or nodes % 4096 == 0)
                 and time.monotonic() > deadline):
             raise SearchTimeout(nodes)
-        # the two scans walk their masks inline; bits() costs about 15% here
+        # the scans walk their masks inline; bits() costs about 15% here
         if size > q:   # a full line needs q+1 chosen points
             while recheck:
                 low = recheck & -recheck
@@ -128,14 +138,26 @@ def max_blocking_set_size(g: Geometry, budget: float | None = None) -> BlockingS
             if c < fewest:
                 picked, fewest = opts, c
             scan ^= low
-        for p in bits(picked):
-            inc = incidence[p]
-            got = search(chosen | (1 << p), banned, uncov & ~inc, touched,
-                         inc & ~uncov, size + 1, target)
-            if got is not None:
-                return got
-            banned |= 1 << p  # later branches must meet the line elsewhere
+        # a child with more than `room` uncovered lines fails the bound on
+        # entry: counted, clock read and banned here, never called
+        room = (target - size - 1) * per_point
+        while picked:
+            low = picked & -picked
+            inc = incidence[low.bit_length() - 1]
+            rest = uncov & ~inc
+            if rest.bit_count() > room:
+                nodes += 1
+                if (deadline is not None and nodes % 4096 == 0
+                        and time.monotonic() > deadline):
+                    raise SearchTimeout(nodes)
+            else:
+                got = search(chosen | low, banned, rest, touched,
+                             inc & ~uncov, size + 1, target)
+                if got is not None:
+                    return got
+            banned |= low  # later branches must meet the line elsewhere
             touched |= inc
+            picked ^= low
         return None
 
     all_lines = (1 << g.n_lines) - 1
@@ -210,6 +232,13 @@ def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]
     search carries the mask of lines met by the arc: at a leaf the unmet
     lines are the passants, and every record of one size shares one
     read-only profile, so each record comes without a pass over the lines.
+
+    A parent computes each child's candidates in its own loop: a child with
+    none is complete and recorded there, a child with none above its newest
+    point would add nothing and is skipped, and only the rest are called,
+    with their candidates above that point.  Records come in the same
+    depth-first order as calling every child.  The frame alone is complete
+    at q=2 and q=3.
     """
     if g.m != 2:
         raise StructureError("complete-arc enumeration needs m=2")
@@ -231,20 +260,28 @@ def enumerate_complete_arcs(g: Geometry, force: bool = False) -> list[ArcRecord]
     found: list[ArcRecord] = []
 
     def extend(arc_mask: int, arc_ids: tuple[int, ...], cover: int, met: int,
-               min_next: int):
-        cand = all_mask & ~cover   # the bisecant cover holds the arc itself
-        if cand == 0:
-            found.append(ArcRecord(arc_mask, True, _shared_profile(q, len(arc_ids)),
-                                   all_lines & ~met))
-            return
-        for p in bits(cand & -(1 << min_next)):
-            add = 0
+               above: int):
+        # above: the candidates above the newest point, never empty
+        profile = _shared_profile(q, len(arc_ids) + 1)
+        for p in bits(above):
+            row = pair_line[p]
+            child_cover = cover
             for a in arc_ids:
-                add |= lines[pair_line[p][a]]
-            extend(arc_mask | (1 << p), arc_ids + (p,), cover | add,
-                   met | incidence[p], p + 1)
+                child_cover |= lines[row[a]]
+            cand = all_mask & ~child_cover   # the bisecant cover holds the arc itself
+            if cand == 0:
+                found.append(ArcRecord(arc_mask | (1 << p), True, profile,
+                                       all_lines & ~(met | incidence[p])))
+            elif cand >> (p + 1):
+                extend(arc_mask | (1 << p), arc_ids + (p,), child_cover,
+                       met | incidence[p], cand & -(2 << p))
 
-    extend(frame_mask, frame, _bisecant_cover(g, frame_mask), met, 0)
+    cover = _bisecant_cover(g, frame_mask)
+    if all_mask & ~cover == 0:
+        found.append(ArcRecord(frame_mask, True, _shared_profile(q, len(frame)),
+                               all_lines & ~met))
+    else:
+        extend(frame_mask, frame, cover, met, all_mask & ~cover)
     found.sort(key=lambda a: a.mask)
     return found
 

@@ -2,9 +2,12 @@
 calls them."""
 
 import itertools
+import math
+from fractions import Fraction
 
 from pgturan.construction import Hypergraph
 from pgturan.geometry import bits, mask_of
+from pgturan.structures import ArcRecord, _bisecant_cover, _shared_profile, frame_point_ids
 
 
 def field_dot(f, u, v) -> int:
@@ -79,3 +82,46 @@ def simplex_evaluator(poly):
         return sum(c * alpha ** e[0] * beta ** e[1] * gamma ** e[2] for c, e in terms)
 
     return ev
+
+
+def bernstein_reference(coeffs):
+    """Bernstein coefficients on [0, 1] of sum_d coeffs[d] x^d, one Fraction
+    term C(r, d) / C(n, d) * coeffs[d] at a time."""
+    n = len(coeffs) - 1
+    return [sum(Fraction(math.comb(r, d), math.comb(n, d)) * coeffs[d]
+                for d in range(r + 1)) for r in range(n + 1)]
+
+
+def complete_arcs_reference(g):
+    """The frame-anchored complete arcs of a plane, sorted by mask, from a
+    search that calls every child: each call computes its own candidates,
+    records itself when it has none and recurses on those above its newest
+    point."""
+    q = g.q
+    frame = frame_point_ids(g)
+    all_mask = g.all_points_mask
+    all_lines = (1 << g.n_lines) - 1
+    lines = g.line_point_incidence
+    incidence = g.point_line_incidence
+    found = []
+
+    def extend(arc_mask, arc_ids, cover, met, min_next):
+        cand = all_mask & ~cover
+        if cand == 0:
+            found.append(ArcRecord(arc_mask, True, _shared_profile(q, len(arc_ids)),
+                                   all_lines & ~met))
+            return
+        for p in bits(cand & -(1 << min_next)):
+            add = 0
+            for a in arc_ids:
+                add |= lines[g.pair_line[p][a]]
+            extend(arc_mask | (1 << p), arc_ids + (p,), cover | add,
+                   met | incidence[p], p + 1)
+
+    frame_mask = mask_of(frame)
+    met = 0
+    for p in frame:
+        met |= incidence[p]
+    extend(frame_mask, frame, _bisecant_cover(g, frame_mask), met, 0)
+    found.sort(key=lambda a: a.mask)
+    return found

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf, sqrt as mpsqrt, ceil as mpceil  # noqa: F401
 
-from pgturan import bounds, refdata
+from pgturan import bounds, refdata, verify
 from pgturan.bounds import (
     BoundPolynomial,
     BoundsError,
@@ -30,7 +30,7 @@ from pgturan.bounds import (
     value_string,
 )
 
-from oracles import segment_evaluator, simplex_evaluator
+from oracles import bernstein_reference, segment_evaluator, simplex_evaluator
 
 # --- closed forms ---------------------------------------------------------------
 
@@ -455,6 +455,30 @@ def test_halving_keeps_bernstein_coefficients_exact():
             seq, lo = right, lo + width
         for x, b in ((lo, seq[0]), (lo + width, seq[-1])):
             assert Fraction(b, scale) == sum(c * x ** d for d, c in enumerate(coeffs))
+
+
+def test_bernstein_matches_reference_on_catalog_inputs(monkeypatch):
+    # every coefficient list one catalog pass feeds the optimizer's certificates
+    seen = []
+    exact = bounds._bernstein
+
+    def record(coeffs):
+        seen.append(list(coeffs))
+        return exact(coeffs)
+
+    monkeypatch.setattr(bounds, "_bernstein", record)
+    verify.run_all(budget=None)
+    assert len(seen) == 85
+    for coeffs in seen:
+        assert exact(coeffs) == bernstein_reference(coeffs)
+
+
+def test_bernstein_matches_reference_on_random_lists():
+    rng = random.Random(11)
+    for _ in range(200):
+        coeffs = [Fraction(rng.choice((0, rng.randint(-10**6, 10**6))), rng.randint(1, 10**4))
+                  for _ in range(rng.randint(1, 31))]
+        assert bounds._bernstein(coeffs) == bernstein_reference(coeffs)
 
 
 # --- tables -----------------------------------------------------------------------

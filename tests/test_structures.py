@@ -31,7 +31,7 @@ from pgturan.structures import (
     _matvec,
 )
 
-from oracles import complete_arc_reference, field_dot
+from oracles import complete_arc_reference, complete_arcs_reference, field_dot
 
 
 def points(g, labels):
@@ -168,6 +168,25 @@ def test_blocking_search_times_out_at_its_first_periodic_read(stalled_clock):
     stalled_clock("pgturan.structures")
     res = max_blocking_set_size(build_geometry(2, 5), budget=1)
     assert (res.size, res.witness, res.exact, res.explored_nodes) == (None, 0, False, 4096)
+
+
+@pytest.mark.parametrize("reads", [3, 17, 37])
+def test_settled_leaves_still_read_the_clock(stalled_clock, reads):
+    # read 2 + k is the periodic read at node 4096k (k = 1 is the test
+    # above); most q=5 nodes are bound-pruned children settled in their
+    # parent's loop, and they read the clock on the same node numbers as
+    # called ones
+    stalled_clock("pgturan.structures", reads)
+    res = max_blocking_set_size(build_geometry(2, 5), budget=1)
+    assert (res.size, res.witness, res.exact, res.explored_nodes) == \
+        (None, 0, False, 4096 * (reads - 1))
+
+
+def test_blocking_search_ends_before_a_late_periodic_read(stalled_clock):
+    # the 37th periodic read would come at node 151,552, past the 148,865
+    stalled_clock("pgturan.structures", 38)
+    res = max_blocking_set_size(build_geometry(2, 5), budget=1)
+    assert (res.size, res.exact, res.explored_nodes) == (22, True, 148_865)
 
 
 def test_blocking_search_zero_budget_stops_before_a_short_search_ends():
@@ -329,6 +348,17 @@ def test_enumeration_records_match_secant_profile(q):
         assert list(a.secant_profile) == list(ref.secant_profile)
     if q == 11:
         assert Counter(a.size for a in arcs) == {7: 40, 8: 5103, 9: 3024, 10: 84, 12: 9}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_enumeration_matches_the_call_every_child_reference(q):
+    """Children decided in their parent's loop give the records of a search
+    that calls every child; at q=2 and q=3 the frame alone is complete."""
+    g = build_geometry(2, q)
+    arcs = enumerate_complete_arcs(g, force=True)
+    assert arcs == complete_arcs_reference(g)
+    if q <= 3:
+        assert [a.mask for a in arcs] == [mask_of(frame_point_ids(g))]
 
 
 def test_arc_records_are_compact_and_share_profiles():
