@@ -471,15 +471,12 @@ def _optimize_simplex(poly: BoundPolynomial) -> OptResult:
     along_alpha, along_beta = poly.line_functions()
     a, b = _simplex_tick(i), _simplex_tick(j)
     # coordinate-wise golden section on the feasible segments through the
-    # incumbent; the printed argmax digits depend on every comparison, so the
-    # line functions must return the factored form's floats bit for bit
+    # incumbent, for a fixed 400 rounds; the printed argmax digits depend on
+    # every comparison, so the line functions must return the factored
+    # form's floats bit for bit
     for _ in range(400):
-        a_new = _golden_max(along_alpha(b), 0.0, 1.0 - b)
-        b_new = _golden_max(along_beta(a_new), 0.0, 1.0 - a_new)
-        moved = max(abs(a_new - a), abs(b_new - b))
-        a, b = a_new, b_new
-        if moved < 1e-12:
-            break
+        a = _golden_max(along_alpha(b), 0.0, 1.0 - b)
+        b = _golden_max(along_beta(a), 0.0, 1.0 - a)
     gm = (1 - Fraction(a) - Fraction(b)) / (m_val - 1)
     return _result(poly, (a, b, gm), dict(zip(poly.variables, (a, b, float(gm)))))
 

@@ -354,7 +354,12 @@ def collineation_to_frame(g: Geometry, pts: tuple[int, int, int, int]):
 
 
 def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
-    """Whether two arcs of size >= 4 lie in the same PGammaL(3,q) orbit."""
+    """Whether two arcs of size >= 4 lie in the same PGammaL(3,q) orbit.
+
+    Any four points of an arc are in general position, so every quad of
+    mask_b is a frame; a mask_b of the same size with three collinear
+    points raises StructureError.
+    """
     if mask_a.bit_count() != mask_b.bit_count():
         return False
     ids_a = tuple(bits(mask_a))
@@ -373,10 +378,7 @@ def arcs_equivalent(g: Geometry, mask_a: int, mask_b: int) -> bool:
         moved = apply_projectivity(g, back, m_aut)
         rests.append([g.points[p] for p in bits(moved & ~frame_mask)])
     for quad in itertools.permutations(ids_b, 4):
-        try:
-            fwd = projectivity_from_frame(g, quad)
-        except StructureError:
-            continue
+        fwd = projectivity_from_frame(g, quad)
         # a projectivity is injective and the sizes match, so the image
         # equals mask_b once every point lands in it; stop at the first miss
         for rest in rests:

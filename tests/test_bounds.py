@@ -285,6 +285,14 @@ def test_simplex_argmax_bits_pinned():
     assert got == pinned
 
 
+def test_simplex_ascent_runs_400_rounds(monkeypatch):
+    calls = []
+    golden_max = bounds._golden_max
+    monkeypatch.setattr(bounds, "_golden_max", lambda *a: calls.append(a) or golden_max(*a))
+    optimize_bound(theorem3_polynomial(3, 2))
+    assert len(calls) == 2 * 400  # one line search in alpha, one in beta, per round
+
+
 @pytest.mark.parametrize("poly", [theorem2_polynomial(3, 5), theorem3_polynomial(3, 2)],
                          ids=["segment", "simplex"])
 def test_optimizer_leaves_global_precision_alone(poly):

@@ -434,6 +434,18 @@ def test_named_arcs_represent_the_two_classes():
     assert len(hits1) == 1 and len(hits2) == 1 and hits1 != hits2
 
 
+def test_equivalence_refuses_a_non_arc():
+    # any four points of an arc are a frame; a set with three collinear
+    # points has a quad that is not, and no collineation maps an arc onto it
+    g = build_geometry(2, 7)
+    arc = next(a.mask for a in enumerate_complete_arcs(g) if a.size == 6)
+    line = g.line_point_incidence[0]
+    on_line = list(bits(line))[:3]
+    off_line = [p for p in range(g.n_points) if not line >> p & 1][:3]
+    with pytest.raises(StructureError):
+        arcs_equivalent(g, arc, mask_of(on_line + off_line))
+
+
 # The collineation helpers written with FieldTable methods, kept as the
 # oracle for the table-driven ones in the library.
 
