@@ -1,21 +1,23 @@
 """One-shot verification driver: every reproducible claim, one pass/fail line each.
 
-Claims are small closures over the library, identified by structural ids
-("table1.q3.cor1", "lemma8.mincover.K1", "M.q7", ...).  Search- and
-optimizer-backed claims respect a shared time budget and report "timeout"
-instead of failing when it runs out: a search claim does not start past the
-deadline, and every search engine it runs gets the time left of it.
-Results that several claims read (the comparison tables, arc-partition
-optima, complete arcs, M(q), appendix sub-claims) are computed once per
-`build_claim_specs` call, by whichever claim reads them first.  Output
-ordering and formatting are deterministic.
+The catalog is a list of rows `(claim_id, anchor, source, expected, reads,
+check)`, identified by structural ids ("table1.q3", "lemma8.mincover",
+"M.q7", ...).  `reads` names the shared results a row needs, as keys such as
+`("tables",)`, `("mq", 7)` or `("embedding", spec, q)`, and `check(*values)`
+returns `(computed, ok)` from them, with ok None when a search ran out of
+time.  One memoized reader computes each shared result once per run, by the
+first row that reads it, and is the only caller of the search engines and
+the optimizer: every budgeted engine gets the time left before the deadline.
+A row that reads a shared result does not start past the deadline and
+reports "timeout"; a row that reads none always runs.  Rows run in catalog
+order, and output ordering and formatting are deterministic.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds, refdata
@@ -32,22 +34,12 @@ from .geometry import build_geometry, time_left
 from .structures import enumerate_complete_arcs, max_blocking_set_size
 
 
-@dataclass
-class ClaimSpec:
-    claim_id: str
-    anchor: str
-    source: str        # reference | trivial | derived
-    expected: str
-    search: bool       # consumes meaningful budget; may time out
-    run: callable      # () -> (computed, ok); ok is None when a search ran out of time
-
-
-def _geometry_claims(corrupt: bool = False) -> list[ClaimSpec]:
-    rows = [(2, 2, 7, 7), (2, 3, 13, 13), (2, 4, 21, 21), (2, 5, 31, 31),
-            (2, 7, 57, 57), (2, 8, 73, 73), (3, 2, 15, 35), (3, 3, 40, 130)]
-    claims = []
-    for m, q, npts, nlin in rows:
-        def run(m=m, q=q, npts=npts, nlin=nlin):
+def _geometry_rows(corrupt: bool) -> list[tuple]:
+    planes = [(2, 2, 7, 7), (2, 3, 13, 13), (2, 4, 21, 21), (2, 5, 31, 31),
+              (2, 7, 57, 57), (2, 8, 73, 73), (3, 2, 15, 35), (3, 3, 40, 130)]
+    rows = []
+    for m, q, npts, nlin in planes:
+        def check(m=m, q=q, npts=npts, nlin=nlin):
             g = build_geometry(m, q)
             if corrupt:
                 g = _corrupted_copy(g)
@@ -67,10 +59,9 @@ def _geometry_claims(corrupt: bool = False) -> list[ClaimSpec]:
                 for i in range(0, g.n_points, max(1, g.n_points // 8))
             )
             return f"({g.n_points},{g.n_lines})", ok
-        claims.append(ClaimSpec(
-            f"geometry.counts.m{m}q{q}", f"plane m={m} q={q}", "trivial",
-            f"({npts},{nlin})", False, run))
-    return claims
+        rows.append((f"geometry.counts.m{m}q{q}", f"plane m={m} q={q}", "trivial",
+                     f"({npts},{nlin})", (), check))
+    return rows
 
 
 def _corrupted_copy(g):
@@ -83,7 +74,7 @@ def _corrupted_copy(g):
                    line_point_incidence=(lines[0] ^ 1, *lines[1:]))
 
 
-def _classification_claims(arcs, mq) -> list[ClaimSpec]:
+def _classification_rows() -> list[tuple]:
     data = {
         3: ("lemma3", {4}, 3, 2),
         4: ("lemma4", {6}, 6, 2),
@@ -91,63 +82,57 @@ def _classification_claims(arcs, mq) -> list[ClaimSpec]:
         7: ("lemma6", {6, 8}, 21, 4),
         8: ("lemma7", {6, 10}, 28, 4),
     }
-    claims = []
+    rows = []
     for q, (tag, sizes, passants, cap) in data.items():
-        def sizes_run(q=q, sizes=sizes):
-            got = {a.size for a in arcs(q)}
+        reads = (("arcs", q),)
+
+        def sizes_check(recs, sizes=sizes):
+            got = {a.size for a in recs}
             return str(sorted(got)), got == sizes
-        claims.append(ClaimSpec(f"{tag}.sizes.q{q}", tag, "reference",
-                                str(sorted(sizes)), True, sizes_run))
+        rows.append((f"{tag}.sizes.q{q}", tag, "reference", str(sorted(sizes)),
+                     reads, sizes_check))
 
-        def passant_run(q=q, big=max(sizes), passants=passants):
-            got = {a.secant_profile[0] for a in arcs(q) if a.size == big}
+        def passant_check(recs, big=max(sizes), passants=passants):
+            got = {a.secant_profile[0] for a in recs if a.size == big}
             return str(sorted(got)), got == {passants}
-        claims.append(ClaimSpec(f"{tag}.passants.q{q}", tag, "reference",
-                                str(passants), True, passant_run))
+        rows.append((f"{tag}.passants.q{q}", tag, "reference", str(passants),
+                     reads, passant_check))
 
-        def conc_run(q=q, big=max(sizes), cap=cap):
+        def conc_check(recs, q=q, big=max(sizes), cap=cap):
             g = build_geometry(2, q)
             # arc points lie on no passant, so the peak over the points off
             # the arc is the most passants through any point
             worst = max(passant_analysis(g, a).peak_multiplicity
-                        for a in arcs(q) if a.size == big)
+                        for a in recs if a.size == big)
             return str(worst), worst <= cap
-        claims.append(ClaimSpec(f"{tag}.concurrency.q{q}", tag, "reference",
-                                f"<= {cap}", True, conc_run))
+        rows.append((f"{tag}.concurrency.q{q}", tag, "reference", f"<= {cap}",
+                     reads, conc_check))
 
     for q, nclasses in ((7, 2), (8, 1)):
-        def class_run(q=q, nclasses=nclasses):
+        def class_check(rep, nclasses=nclasses):
             # collineations preserve arc size, so each class is all 6-arcs or none
-            got = sum(c.representative.size == 6 for c in mq(q).per_class)
+            got = sum(c.representative.size == 6 for c in rep.per_class)
             return str(got), got == nclasses
-        claims.append(ClaimSpec(f"classes.sixarcs.q{q}", f"complete 6-arcs q={q}",
-                                "reference", str(nclasses), True, class_run))
-    return claims
+        rows.append((f"classes.sixarcs.q{q}", f"complete 6-arcs q={q}", "reference",
+                     str(nclasses), (("mq", q),), class_check))
+    return rows
 
 
-def _blocking_claims(left) -> list[ClaimSpec]:
-    rows = [(2, None, "derived"), (3, 7, "derived"), (4, 14, "derived")]
-    claims = []
-    for q, expect, src in rows:
-        def run(q=q, expect=expect):
-            res = max_blocking_set_size(build_geometry(2, q), budget=left())
-            got = res.size
-            return str(got), (got == expect if res.exact else None)
-        claims.append(ClaimSpec(f"blocking.max.q{q}", f"blocking sets q={q}", src,
-                                str(expect), True, run))
-    return claims
+def _blocking_rows() -> list[tuple]:
+    def check(res, expect):
+        return str(res.size), (res.size == expect if res.exact else None)
+    return [(f"blocking.max.q{q}", f"blocking sets q={q}", "derived", str(expect),
+             (("blocking", q),), functools.partial(check, expect=expect))
+            for q, expect in ((2, None), (3, 7), (4, 14))]
 
 
-def _mq_claims(mq) -> list[ClaimSpec]:
-    claims = []
-    for q, (expect, _, _) in refdata.ARC_BOUND_OPTIMA.items():
-        def run(q=q, expect=expect):
-            rep = mq(q)
-            certif = all(c.cover.optimal for c in rep.per_class)
-            return str(rep.M_q), (rep.M_q == expect if certif else None)
-        claims.append(ClaimSpec(f"M.q{q}", f"passant covers q={q}", "reference",
-                                str(expect), True, run))
-    return claims
+def _mq_rows() -> list[tuple]:
+    def check(rep, expect):
+        certif = all(c.cover.optimal for c in rep.per_class)
+        return str(rep.M_q), (rep.M_q == expect if certif else None)
+    return [(f"M.q{q}", f"passant covers q={q}", "reference", str(expect),
+             (("mq", q),), functools.partial(check, expect=expect))
+            for q, (expect, _, _) in refdata.ARC_BOUND_OPTIMA.items()]
 
 
 def _verdict(claims: list[Claim]) -> bool | None:
@@ -157,70 +142,70 @@ def _verdict(claims: list[Claim]) -> bool | None:
     return False if "fail" in statuses else None if "timeout" in statuses else True
 
 
-def _appendix_claims(appendix) -> list[ClaimSpec]:
-    claims = []
+def _appendix_rows() -> list[tuple]:
+    def all_check(sub):
+        bad = [c.claim_id for c in sub if c.status == "fail"]
+        return f"{len(sub)} claims, failing: {bad or 'none'}", _verdict(sub)
+
+    def mincover_check(sub):
+        covers = [c for c in sub if c.claim_id.endswith(".mincover")]
+        return str(min(int(c.computed) for c in covers)), _verdict(covers)
+
+    rows = []
     for which, lemma in (("A", "lemma8"), ("B", "lemma9")):
-        def run(which=which):
-            sub = appendix(which)
-            bad = [c.claim_id for c in sub if c.status == "fail"]
-            return f"{len(sub)} claims, failing: {bad or 'none'}", _verdict(sub)
-        claims.append(ClaimSpec(f"appendix{which}.all", f"appendix {which}",
-                                "reference", "all claims reproduce", True, run))
-
-        def run_mincover(which=which):
-            covers = [c for c in appendix(which) if c.claim_id.endswith(".mincover")]
-            return str(min(int(c.computed) for c in covers)), _verdict(covers)
+        reads = (("appendix", which),)
         floor = refdata.APPENDICES[which]["min_cover_at_least"]
-        claims.append(ClaimSpec(f"{lemma}.mincover", f"appendix {which}", "reference",
-                                f">= {floor}", True, run_mincover))
-    return claims
+        rows.append((f"appendix{which}.all", f"appendix {which}", "reference",
+                     "all claims reproduce", reads, all_check))
+        rows.append((f"{lemma}.mincover", f"appendix {which}", "reference",
+                     f">= {floor}", reads, mincover_check))
+    return rows
 
 
-def _poly_claims() -> list[ClaimSpec]:
-    claims = []
+def _poly_rows() -> list[tuple]:
+    rows = []
     for q, (M, _, _) in refdata.ARC_BOUND_OPTIMA.items():
-        def run(q=q, M=M):
+        def check(q=q, M=M):
             poly = bounds.theorem3_polynomial(q, M)
             expect = {e: Fraction(c) for e, c in refdata.POLY_EXPANSIONS[q].items()}
             ok = poly.monomials == expect
             return f"{len(poly.monomials)} monomials", ok
-        claims.append(ClaimSpec(f"poly.q{q}.coeffs", f"arc-partition polynomial q={q}",
-                                "reference", "exact coefficient match", False, run))
-    return claims
+        rows.append((f"poly.q{q}.coeffs", f"arc-partition polynomial q={q}",
+                     "reference", "exact coefficient match", (), check))
+    return rows
 
 
-def _optima_claims(optima) -> list[ClaimSpec]:
-    claims = []
-    for q, (_, printed, _) in refdata.ARC_BOUND_OPTIMA.items():
-        def run(q=q):
-            r = optima()[q]
-            return f"{r['value']:.10f}", r["value_ok"] and r["argmax_ok"]
-        claims.append(ClaimSpec(f"optima.q{q}", f"optimized arc bound q={q}", "reference",
-                                printed, True, run))
-    return claims
+def _optima_rows() -> list[tuple]:
+    def check(optima, q):
+        r = optima[q]
+        return f"{r['value']:.10f}", r["value_ok"] and r["argmax_ok"]
+    return [(f"optima.q{q}", f"optimized arc bound q={q}", "reference", printed,
+             (("optima",),), functools.partial(check, q=q))
+            for q, (_, printed, _) in refdata.ARC_BOUND_OPTIMA.items()]
 
 
-def _table_claims(tables) -> list[ClaimSpec]:
-    claims = []
-    for name, table in (("table1", refdata.TABLE1_M2), ("table2", refdata.TABLE2_M3)):
-        for q, printed in table.items():
-            def run(name=name, q=q):
-                r = tables()[name][q]
-                return (f"thm1={r.thm1:.10f} cor1={r.cor1:.10f} alpha={r.alpha:.10f}",
-                        r.ok)
-            claims.append(ClaimSpec(f"{name}.q{q}", f"{name} row q={q}", "reference",
-                                    f"thm1~{printed[0]} cor1~{printed[1]} alpha~{printed[2]}",
-                                    True, run))
-    for q in refdata.TABLE2_GENERAL_WINS:
-        def run(q=q):
-            r = tables()["table2"][q]
-            return r.larger, r.larger == "thm1"
-        claims.append(ClaimSpec(f"table2.q{q}.larger", f"table2 row q={q}", "reference",
-                                "thm1", True, run))
-    return claims
+def _table_rows() -> list[tuple]:
+    def row_check(tables, name, q):
+        r = tables[name][q]
+        return f"thm1={r.thm1:.10f} cor1={r.cor1:.10f} alpha={r.alpha:.10f}", r.ok
+
+    def larger_check(tables, q):
+        r = tables["table2"][q]
+        return r.larger, r.larger == "thm1"
+
+    reads = (("tables",),)
+    rows = [(f"{name}.q{q}", f"{name} row q={q}", "reference",
+             f"thm1~{printed[0]} cor1~{printed[1]} alpha~{printed[2]}",
+             reads, functools.partial(row_check, name=name, q=q))
+            for name, table in (("table1", refdata.TABLE1_M2), ("table2", refdata.TABLE2_M3))
+            for q, printed in table.items()]
+    rows += [(f"table2.q{q}.larger", f"table2 row q={q}", "reference", "thm1",
+              reads, functools.partial(larger_check, q=q))
+             for q in refdata.TABLE2_GENERAL_WINS]
+    return rows
 
 
-def _closed_form_claims() -> list[ClaimSpec]:
+def _closed_form_rows() -> list[tuple]:
     cf = refdata.CLOSED_FORMS
     items = [
         ("closedform.thm1lower.m2q3", "general lower bound",
@@ -236,109 +221,89 @@ def _closed_form_claims() -> list[ClaimSpec]:
         ("closedform.t.m3q23", "part count",
          cf["t_m3_q23"], lambda: bounds.corollary1_t(3, 23)),
     ]
-    claims = []
+    rows = []
     for cid, anchor, expect, fn in items:
-        def run(expect=expect, fn=fn):
+        def check(expect=expect, fn=fn):
             got = fn()
             return str(got), got == expect
-        claims.append(ClaimSpec(cid, anchor, "reference", str(expect), False, run))
-    return claims
+        rows.append((cid, anchor, "reference", str(expect), (), check))
+    return rows
 
 
-def _freeness_claims(left) -> list[ClaimSpec]:
-    def search(h, q, want):
-        res = contains_subgeometry(h, build_geometry(2, q), budget=left())
+def _freeness_rows() -> list[tuple]:
+    def check(res, want):
         return res.status, (None if res.status == "timeout" else res.status == want)
 
-    def fano_yes():
+    M, _, rates = refdata.ARC_BOUND_OPTIMA[3]
+    hosts = [
         # K_7^3: one part X of cap 3 takes every 3-set
-        return search(build_hypergraph(PartitionSpec(7, 2, (7,), (3,), (7.0,))), 2, "yes")
-
-    def t2_free():
-        return search(build_hypergraph(make_partition(14, 2, 2, "t2", (1 / 12,), k=0)),
-                      2, "no")
-
-    def t3_free():
-        M, _, rates = refdata.ARC_BOUND_OPTIMA[3]
-        spec = make_partition(16, 3, 2, "t3", tuple(map(float, rates)), M=M)
-        return search(build_hypergraph(spec), 3, "no")
-
-    return [
-        ClaimSpec("freeness.k7.contains", "embedding search", "trivial", "yes",
-                  True, fano_yes),
-        ClaimSpec("freeness.t2.q2n14", "blocking partition q=2", "derived", "no",
-                  True, t2_free),
-        ClaimSpec("freeness.t3.q3n16", "arc partition q=3", "derived", "no",
-                  True, t3_free),
+        ("freeness.k7.contains", "embedding search", "trivial", "yes",
+         PartitionSpec(7, 2, (7,), (3,), (7.0,)), 2),
+        ("freeness.t2.q2n14", "blocking partition q=2", "derived", "no",
+         make_partition(14, 2, 2, "t2", (1 / 12,), k=0), 2),
+        ("freeness.t3.q3n16", "arc partition q=3", "derived", "no",
+         make_partition(16, 3, 2, "t3", tuple(map(float, rates)), M=M), 3),
     ]
+    return [(cid, anchor, source, want, (("embedding", spec, q),),
+             functools.partial(check, want=want))
+            for cid, anchor, source, want, spec, q in hosts]
 
 
-def build_claim_specs(corrupt_field: bool = False,
-                      deadline: float | None = None) -> list[ClaimSpec]:
-    """The claim catalog, with one fresh memo of the results its claims share.
+def catalog_rows(corrupt_field: bool) -> list[tuple]:
+    """Every claim row, in the order `run_all` runs them."""
+    return (_geometry_rows(corrupt_field) + _closed_form_rows() + _poly_rows()
+            + _optima_rows() + _table_rows() + _classification_rows()
+            + _blocking_rows() + _mq_rows() + _appendix_rows() + _freeness_rows())
 
-    Every search engine a claim runs gets the time left before `deadline`
-    (a `time.monotonic()` reading; None is no limit).
+
+def _reader(deadline: float | None):
+    """`read(name, *args)`: one run's memo of the results rows share.
+
+    Each budgeted engine gets the time left before `deadline` (a
+    `time.monotonic()` reading; None is no limit).  A result that raises is
+    not memoized, so each row that reads it reports the error.
     """
     left = functools.partial(time_left, deadline)
+    engines = {
+        "tables": lambda: {name: {r.q: r for r in rows}
+                           for name, rows in bounds.reproduce_tables().items()},
+        "optima": lambda: {r["q"]: r for r in bounds.reproduce_arc_optima()},
+        "arcs": lambda q: enumerate_complete_arcs(build_geometry(2, q)),
+        "mq": lambda q: compute_Mq(build_geometry(2, q), budget=left(),
+                                   arcs=read("arcs", q)),
+        "appendix": lambda which: verify_appendix(which, budget=left()),
+        "blocking": lambda q: max_blocking_set_size(build_geometry(2, q), budget=left()),
+        "embedding": lambda spec, q: contains_subgeometry(
+            build_hypergraph(spec), build_geometry(2, q), budget=left()),
+    }
 
     @functools.cache
-    def tables():
-        return {name: {r.q: r for r in rows}
-                for name, rows in bounds.reproduce_tables().items()}
-
-    @functools.cache
-    def optima():
-        return {r["q"]: r for r in bounds.reproduce_arc_optima()}
-
-    @functools.cache
-    def arcs(q):
-        return enumerate_complete_arcs(build_geometry(2, q))
-
-    @functools.cache
-    def mq(q):
-        return compute_Mq(build_geometry(2, q), budget=left(), arcs=arcs(q))
-
-    @functools.cache
-    def appendix(which):
-        return verify_appendix(which, budget=left())
-
-    claims = []
-    claims += _geometry_claims(corrupt=corrupt_field)
-    claims += _closed_form_claims()
-    claims += _poly_claims()
-    claims += _optima_claims(optima)
-    claims += _table_claims(tables)
-    claims += _classification_claims(arcs, mq)
-    claims += _blocking_claims(left)
-    claims += _mq_claims(mq)
-    claims += _appendix_claims(appendix)
-    claims += _freeness_claims(left)
-    return claims
+    def read(name, *args):
+        return engines[name](*args)
+    return read
 
 
 def run_all(budget: float | None = 1800.0, corrupt_field: bool = False) -> list[Claim]:
-    """Execute every claim within the budget; search claims time out past it.
+    """Run every catalog row within the budget.
 
-    A shared result is charged to the `seconds` of the first claim that reads it.
+    A row that reads a shared result reports timeout, without running, once
+    the budget is spent.  A shared result is charged to the `seconds` of the
+    first row that reads it.
     """
     start = time.monotonic()
-    specs = build_claim_specs(corrupt_field=corrupt_field,
-                              deadline=None if budget is None else start + budget)
+    read = _reader(None if budget is None else start + budget)
 
-    def execute(spec: ClaimSpec) -> Claim:
-        elapsed = time.monotonic() - start
-        if spec.search and budget is not None and elapsed >= budget:
-            return Claim(spec.claim_id, spec.anchor, spec.source,
-                         spec.expected, "(not run)", "timeout", 0.0)
+    def execute(claim_id, anchor, source, expected, reads, check) -> Claim:
+        if reads and budget is not None and time.monotonic() - start >= budget:
+            return Claim(claim_id, anchor, source, expected, "(not run)", "timeout", 0.0)
         t0 = time.perf_counter()
         try:
-            computed, ok = spec.run()
+            computed, ok = check(*[read(*key) for key in reads])
             status = claim_status(ok)
         except Exception as exc:  # report, never crash the harness
             computed, status = f"error: {exc}", "fail"
-        return Claim(spec.claim_id, spec.anchor, spec.source,
-                     spec.expected, str(computed), status,
+        return Claim(claim_id, anchor, source, expected, str(computed), status,
                      time.perf_counter() - t0)
 
-    return sorted(map(execute, specs), key=lambda c: c.claim_id)
+    return sorted((execute(*row) for row in catalog_rows(corrupt_field)),
+                  key=lambda c: c.claim_id)

@@ -298,14 +298,14 @@ def test_verify_appendix_rejects_corrupt_field(capsys):
 def test_verify_zero_budget_times_out_searches(capsys):
     code, out = run(capsys, "verify", "all", "--budget", "0")
     data = json.loads(out)
-    assert data["timeouts"] > 0
-    by_id = {c["claim"]: c for c in data["claims"]}
-    assert by_id["M.q7"]["status"] == "timeout"
-    # optimizer-backed claims are bounded by the budget too
-    assert by_id["optima.q3"]["status"] == "timeout"
-    assert by_id["table2.q23"]["status"] == "timeout"
-    assert by_id["closedform.t.m2q3"]["status"] == "pass"
-    assert by_id["poly.q7.coeffs"]["status"] == "pass"
+    assert code == 0 and len(data["claims"]) == 75 and data["timeouts"] == 56
+    # exactly the rows that read no shared result run; optimizer-backed rows
+    # (optima, table rows) time out like the searches
+    passed = [c["claim"] for c in data["claims"] if c["status"] == "pass"]
+    assert Counter(cid.split(".")[0] for cid in passed) == {
+        "geometry": 8, "closedform": 6, "poly": 5}
+    assert all((c["status"], c["computed"]) == ("timeout", "(not run)")
+               for c in data["claims"] if c["claim"] not in passed)
 
 
 def test_verify_all_gives_every_search_the_time_left(monkeypatch):
@@ -379,17 +379,21 @@ def test_verify_all_computes_shared_results_once(monkeypatch):
     counted(verify, "verify_appendix", key=lambda which, *rest: which)
     counted(covering, "m_of_arc", key=lambda g, arc, *rest: (g.q, arc.mask))
     counted(verify, "enumerate_complete_arcs", key=lambda g, *rest: g.q)
-    # compute_Mq reuses the memo's arcs instead of enumerating them again
+    # compute_Mq reuses the reader's arcs instead of enumerating them again
     counted(covering, "enumerate_complete_arcs", key=lambda g, *rest: ("covering", g.q))
+    counted(verify, "max_blocking_set_size", key=lambda g, *rest: g.q)
+    counted(verify, "contains_subgeometry", key=lambda h, g, *rest: (h.n, g.q))
     claims = verify.run_all(budget=None)
     assert len(claims) == 75
     assert [c.claim_id for c in claims if c.status != "pass"] == ["table2.q23"]
     mq_keys = {("compute_Mq", q) for q in refdata.ARC_BOUND_OPTIMA}
     appendix_keys = {("verify_appendix", "A"), ("verify_appendix", "B")}
     arcs_keys = {("enumerate_complete_arcs", q) for q in (3, 4, 5, 7, 8)}
+    blocking_keys = {("max_blocking_set_size", q) for q in (2, 3, 4)}
+    host_keys = {("contains_subgeometry", host) for host in ((7, 2), (14, 2), (16, 3))}
     assert {key for key in calls if key[0] != "m_of_arc"} == (
         {("reproduce_arc_optima", ()), ("reproduce_tables", ())} | mq_keys | appendix_keys
-        | arcs_keys)
+        | arcs_keys | blocking_keys | host_keys)
     for data in (refdata.APPENDIX_A, refdata.APPENDIX_B):
         g = build_geometry(2, data["q"])
         for case in data["cases"].values():
@@ -450,7 +454,6 @@ def test_lemma_mincover_fails_on_a_proven_failure_beside_a_timeout(monkeypatch):
     covers = {c.claim_id: c.status for c in covering.verify_appendix("A")
               if c.claim_id.endswith(".mincover")}
     assert covers == {"appendixA.K1.mincover": "fail", "appendixA.K2.mincover": "timeout"}
-    specs = {s.claim_id: s for s in verify.build_claim_specs()}
-    statuses = {cid: covering.claim_status(specs[cid].run()[1])
-                for cid in ("lemma8.mincover", "appendixA.all")}
+    claims = {c.claim_id: c.status for c in verify.run_all(budget=None)}
+    statuses = {cid: claims[cid] for cid in ("lemma8.mincover", "appendixA.all")}
     assert statuses == {"lemma8.mincover": "fail", "appendixA.all": "fail"}
