@@ -23,9 +23,9 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .construction import RATE_NAMES, density_monomials, part_pattern
 from .refdata import TABLE1_M2, TABLE2_M3, ARC_BOUND_OPTIMA
@@ -37,8 +37,7 @@ class BoundsError(ValueError):
     pass
 
 
-@dataclass
-class BoundPolynomial:
+class BoundPolynomial(NamedTuple):
     """Homogeneous degree-(q+1) polynomial with positive rational coefficients.
 
     `constraint` pins the affine feasible set:
@@ -101,11 +100,13 @@ class BoundPolynomial:
                                 [(c, ("x", i), ("b", j), ("g", k)) for c, (i, j, k) in terms])
                    + _line_source("along_beta", "a", f"g = (1.0 - a - x) / {n - 1}",
                                   [(c, ("a", i), ("x", j), ("g", k)) for c, (i, j, k) in terms]))
+        # the functions are popped: left in the namespace that is their
+        # globals, each would sit in a cycle only the garbage collector frees
         namespace: dict = {}
         exec(compile("\n".join(src), "<line functions>", "exec"), namespace)
         if kind == "segment":
-            return (namespace["segment"](),)
-        return namespace["along_alpha"], namespace["along_beta"]
+            return (namespace.pop("segment")(),)
+        return namespace.pop("along_alpha"), namespace.pop("along_beta")
 
 
 def _line_source(name: str, fixed: str, dependent: str, terms) -> list[str]:
@@ -156,8 +157,7 @@ def _powers(var: str, exponents) -> list[str]:
     return [f"{var}{e} = {var} ** {e}" for e in sorted(exponents) if e > 1]
 
 
-@dataclass
-class OptResult:
+class OptResult(NamedTuple):
     argmax: dict[str, float]
     value: float
     value_str: str           # exact value at the argmax, 20 significant digits
@@ -529,8 +529,7 @@ def match_alpha(computed: float, printed: str, cap: int = 4) -> bool:
     return abs(computed - target) <= scale + 1e-15
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     q: int
     m: int
     t: int

@@ -16,8 +16,8 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import Geometry, SearchTimeout, bits, mask_of
 
@@ -29,8 +29,7 @@ class ConstructionError(ValueError):
 DEFAULT_MAX_N = {2: 40, 3: 25}
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(NamedTuple):
     """n vertices split into parts for (q+1)-uniform edges, X first.
 
     `sizes` are the integer part sizes, `caps` the most vertices an edge may
@@ -125,8 +124,7 @@ def make_partition(n: int, q: int, m: int, scheme: str, rates,
                          caps=caps, targets=tuple(targets))
 
 
-@dataclass
-class Hypergraph:
+class Hypergraph(NamedTuple):
     n: int
     r: int
     edges: list[int]                  # vertex masks
@@ -215,8 +213,7 @@ def displayed_lower_bound(spec: PartitionSpec) -> int:
 
 # --- embedding search ---------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SubgeometryResult:
+class SubgeometryResult(NamedTuple):
     status: str                       # "yes" | "no" | "timeout"
     witness: dict[int, int] | None    # pattern point -> host vertex
     nodes: int

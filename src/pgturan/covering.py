@@ -22,7 +22,7 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import (Geometry, SearchTimeout, bits, build_geometry, format_coords,
                        line_of, mask_of, point_of, time_left)
@@ -39,23 +39,20 @@ class CoveringError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class HittingSetResult:
+class HittingSetResult(NamedTuple):
     minimum_size: int
     witness: int                 # bitmask of chosen points
     optimal: bool                # search exhausted (False only under a budget)
     explored_nodes: int
 
 
-@dataclass(frozen=True, slots=True)
-class ClassCover:
+class ClassCover(NamedTuple):
     representative: ArcRecord
     class_size: int
     cover: HittingSetResult
 
 
-@dataclass(frozen=True, slots=True)
-class MqReport:
+class MqReport(NamedTuple):
     q: int
     per_class: list[ClassCover]
     M_q: int
@@ -64,8 +61,7 @@ class MqReport:
     witness_cover: HittingSetResult
 
 
-@dataclass(frozen=True, slots=True)
-class PassantAnalysis:
+class PassantAnalysis(NamedTuple):
     arc: ArcRecord
     per_point: dict[int, int]            # point id -> passants through it
     peak_multiplicity: int
@@ -257,8 +253,7 @@ def passant_analysis(g: Geometry, arc: ArcRecord) -> PassantAnalysis:
     )
 
 
-@dataclass
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     anchor: str
     source: str          # reference | trivial | derived

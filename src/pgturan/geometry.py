@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .gf import FieldTable, FieldError, make_field, format_element, parse_element
 
@@ -59,8 +59,7 @@ def mask_of(ids) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     m: int
     q: int
     field: FieldTable
@@ -70,7 +69,10 @@ class Geometry:
     dual_index: MappingProxyType                         # dual -> line id; m=2 only, else empty
     point_line_incidence: tuple[int, ...]                # bitset of line ids per point
     line_point_incidence: tuple[int, ...]                # bitset of point ids per line
-    pair_line: tuple[tuple[int, ...], ...] = field(repr=False)  # (point,point) -> line id
+    pair_line: tuple[tuple[int, ...], ...]               # (point,point) -> line id
+
+    def __repr__(self) -> str:
+        return f"Geometry(m={self.m}, q={self.q})"
 
     @property
     def n_points(self) -> int:
@@ -124,7 +126,7 @@ def _cross(f: FieldTable, u, v) -> tuple[int, int, int]:
 def build_geometry(m: int, q: int) -> Geometry:
     """Construct PG_m(q) with full incidence data.
 
-    The result is cached, so it is a frozen dataclass over tuples, and its
+    The result is cached, so it is a named tuple of tuples, and its
     two indexes are read-only views of dicts no caller holds.
     """
     if m < 2:

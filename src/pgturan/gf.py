@@ -15,7 +15,7 @@ so the one test for a modulus is that every nonzero row holds a 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 MAX_ORDER = 256
@@ -44,9 +44,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldTable:
-    """Arithmetic tables for GF(p^k), immutable: a frozen dataclass over tuples."""
+class FieldTable(NamedTuple):
+    """Arithmetic tables for GF(p^k), immutable: a named tuple of tuples."""
 
     p: int
     k: int
@@ -57,8 +56,11 @@ class FieldTable:
     neg_table: tuple[int, ...]
     inv_table: tuple[int, ...]
     primitive: int
-    log_table: tuple[int, ...] = field(repr=False)   # log base `primitive`; log[0] unused
-    exp_table: tuple[int, ...] = field(repr=False)
+    log_table: tuple[int, ...]   # log base `primitive`; log[0] unused
+    exp_table: tuple[int, ...]
+
+    def __repr__(self) -> str:
+        return f"FieldTable(p={self.p}, k={self.k}, q={self.q}, modulus={self.modulus})"
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

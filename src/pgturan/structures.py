@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .geometry import Geometry, SearchTimeout, bits, mask_of
 
@@ -35,8 +35,7 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ArcRecord:
+class ArcRecord(NamedTuple):
     mask: int                          # the arc's points
     is_complete: bool
     secant_profile: MappingProxyType   # i-secant counts for i = 0, 1, 2, shared per (q, k)
@@ -57,8 +56,7 @@ def _shared_profile(q: int, k: int) -> MappingProxyType:
                              1: tangents, 2: secants})
 
 
-@dataclass(frozen=True, slots=True)
-class BlockingSearchResult:
+class BlockingSearchResult(NamedTuple):
     size: int | None        # None when no blocking set exists
     witness: int            # bitmask, 0 when none
     exact: bool             # False when the search hit its budget

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from . import bounds, refdata
@@ -70,8 +69,8 @@ def _corrupted_copy(g):
     mul_table = (f.mul_table[0], (f.mul_table[1][0], 0, *f.mul_table[1][2:]),
                  *f.mul_table[2:])
     lines = g.line_point_incidence
-    return replace(g, field=replace(f, mul_table=mul_table),
-                   line_point_incidence=(lines[0] ^ 1, *lines[1:]))
+    return g._replace(field=f._replace(mul_table=mul_table),
+                      line_point_incidence=(lines[0] ^ 1, *lines[1:]))
 
 
 def _classification_rows() -> list[tuple]:

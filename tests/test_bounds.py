@@ -1,10 +1,12 @@
 """Closed forms, exact polynomial identities, and the optimizer's reproductions."""
 
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +270,21 @@ def test_line_functions_match_factored_evaluator_bit_for_bit():
             line, = poly.line_functions()
             for x in (0.0, 1.0 / t, *(rng.random() / t for _ in range(50))):
                 assert line(x) == ev(x), (poly.provenance, x)
+
+
+def test_line_functions_die_with_their_last_reference():
+    # the generated functions must not sit in a cycle with the namespace
+    # that is their globals, which only a full garbage collection frees
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lines = theorem3_polynomial(3, 2).line_functions()
+        along_alpha = weakref.ref(lines[0])
+        del lines
+        assert along_alpha() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_simplex_argmax_bits_pinned():

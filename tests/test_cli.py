@@ -3,7 +3,6 @@
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 
 from pgturan import bounds, covering, refdata, verify
 from pgturan.cli import main
@@ -449,7 +448,7 @@ def test_lemma_mincover_fails_on_a_proven_failure_beside_a_timeout(monkeypatch):
 
     def k2_unproven(g, arc, budget=None):
         res = m_of_arc(g, arc, budget)
-        return replace(res, optimal=False) if arc.mask == k2 else res
+        return res._replace(optimal=False) if arc.mask == k2 else res
     monkeypatch.setattr(covering, "m_of_arc", k2_unproven)
     covers = {c.claim_id: c.status for c in covering.verify_appendix("A")
               if c.claim_id.endswith(".mincover")}

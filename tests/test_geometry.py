@@ -51,6 +51,17 @@ def test_cached_geometry_is_immutable():
         g.line_point_incidence[0] = 0
     with pytest.raises(TypeError):
         g.field.mul_table[1][1] = 0
+    with pytest.raises(AttributeError):
+        g.q = 4
+    with pytest.raises(AttributeError):
+        g.field.p = 3
+
+
+def test_geometry_repr_omits_the_tables():
+    # PG(2,16)'s pair_line alone is 273 x 273 ids
+    g = build_geometry(2, 16)
+    assert len(repr(g)) < 200
+    assert len(repr(g.field)) < 200
 
 
 def test_corrupt_field_leaves_cached_geometry_intact():

@@ -87,6 +87,17 @@ def test_appendix_does_not_load_catalog_or_optimizer(target):
     assert not layers & {"bounds", "construction", "verify"}, layers
 
 
+def test_layers_load_neither_dataclasses_nor_inspect():
+    # every command process would pay for both at startup
+    code = ("import contextlib, io, json, sys\n"
+            + "".join(f"import pgturan.{name}\n"
+                      for name in (*PUBLIC, "refdata", "verify", "cli"))
+            + "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = pgturan.cli.main(['verify', 'appendix-a'])\n"
+              "print(json.dumps([code, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n")
+    assert loaded_after(code) == (0, set())
+
+
 @pytest.mark.parametrize("given_M", [True, False])
 def test_theorem3_loads_covering_only_to_search_M(given_M):
     argv = ["bounds", "--theorem", "3", "--q", "3"] + ["--M-value", "2"] * given_M
